@@ -27,18 +27,26 @@ bool GraphView::EdgeFeatureIs(EdgeId, size_t, std::string_view) const {
   return false;
 }
 
-bool LabeledGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
-  return IdMatches(graph_.dict(), graph_.NodeLabel(n), label);
+std::optional<ConstId> LabeledGraphView::ResolveLabel(
+    std::string_view label) const {
+  return graph_.dict().Find(label);
 }
-bool LabeledGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
-  return IdMatches(graph_.dict(), graph_.EdgeLabel(e), label);
+bool LabeledGraphView::NodeHasLabel(NodeId n, ConstId label) const {
+  return graph_.NodeLabel(n) == label;
+}
+bool LabeledGraphView::EdgeHasLabel(EdgeId e, ConstId label) const {
+  return graph_.EdgeLabel(e) == label;
 }
 
-bool PropertyGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
-  return IdMatches(graph_.dict(), graph_.NodeLabel(n), label);
+std::optional<ConstId> PropertyGraphView::ResolveLabel(
+    std::string_view label) const {
+  return graph_.dict().Find(label);
 }
-bool PropertyGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
-  return IdMatches(graph_.dict(), graph_.EdgeLabel(e), label);
+bool PropertyGraphView::NodeHasLabel(NodeId n, ConstId label) const {
+  return graph_.NodeLabel(n) == label;
+}
+bool PropertyGraphView::EdgeHasLabel(EdgeId e, ConstId label) const {
+  return graph_.EdgeLabel(e) == label;
 }
 bool PropertyGraphView::NodePropertyIs(NodeId n, std::string_view name,
                                        std::string_view value) const {
@@ -55,11 +63,15 @@ bool PropertyGraphView::EdgePropertyIs(EdgeId e, std::string_view name,
   return actual.has_value() && IdMatches(graph_.dict(), *actual, value);
 }
 
-bool VectorGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
-  return NodeFeatureIs(n, 0, label);
+std::optional<ConstId> VectorGraphView::ResolveLabel(
+    std::string_view label) const {
+  return graph_.dict().Find(label);
 }
-bool VectorGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
-  return EdgeFeatureIs(e, 0, label);
+bool VectorGraphView::NodeHasLabel(NodeId n, ConstId label) const {
+  return graph_.dimension() > 0 && graph_.NodeFeature(n, 0) == label;
+}
+bool VectorGraphView::EdgeHasLabel(EdgeId e, ConstId label) const {
+  return graph_.dimension() > 0 && graph_.EdgeFeature(e, 0) == label;
 }
 bool VectorGraphView::NodeFeatureIs(NodeId n, size_t feature,
                                     std::string_view value) const {

@@ -1,6 +1,7 @@
 #ifndef KGQ_GRAPH_GRAPH_VIEW_H_
 #define KGQ_GRAPH_GRAPH_VIEW_H_
 
+#include <optional>
 #include <string_view>
 
 #include "graph/labeled_graph.h"
@@ -29,8 +30,23 @@ class GraphView {
   /// The underlying multigraph (N, E, ρ).
   virtual const Multigraph& topology() const = 0;
 
-  virtual bool NodeLabelIs(NodeId n, std::string_view label) const = 0;
-  virtual bool EdgeLabelIs(EdgeId e, std::string_view label) const = 0;
+  /// Label atoms in two steps, so that code testing one label against
+  /// many nodes or edges looks the spelling up once: ResolveLabel finds
+  /// `label` in the view's dictionary (nullopt: nothing can carry it),
+  /// and NodeHasLabel / EdgeHasLabel then compare ids only.
+  virtual std::optional<ConstId> ResolveLabel(std::string_view label) const = 0;
+  virtual bool NodeHasLabel(NodeId n, ConstId label) const = 0;
+  virtual bool EdgeHasLabel(EdgeId e, ConstId label) const = 0;
+
+  /// One-shot label atoms: ResolveLabel + NodeHasLabel / EdgeHasLabel.
+  bool NodeLabelIs(NodeId n, std::string_view label) const {
+    std::optional<ConstId> id = ResolveLabel(label);
+    return id.has_value() && NodeHasLabel(n, *id);
+  }
+  bool EdgeLabelIs(EdgeId e, std::string_view label) const {
+    std::optional<ConstId> id = ResolveLabel(label);
+    return id.has_value() && EdgeHasLabel(e, *id);
+  }
 
   virtual bool NodePropertyIs(NodeId n, std::string_view name,
                               std::string_view value) const;
@@ -53,8 +69,9 @@ class LabeledGraphView final : public GraphView {
   explicit LabeledGraphView(const LabeledGraph& graph) : graph_(graph) {}
 
   const Multigraph& topology() const override { return graph_.topology(); }
-  bool NodeLabelIs(NodeId n, std::string_view label) const override;
-  bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  std::optional<ConstId> ResolveLabel(std::string_view label) const override;
+  bool NodeHasLabel(NodeId n, ConstId label) const override;
+  bool EdgeHasLabel(EdgeId e, ConstId label) const override;
 
   const LabeledGraph& graph() const { return graph_; }
 
@@ -71,8 +88,9 @@ class PropertyGraphView final : public GraphView {
   const Multigraph& topology() const override {
     return graph_.labeled().topology();
   }
-  bool NodeLabelIs(NodeId n, std::string_view label) const override;
-  bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  std::optional<ConstId> ResolveLabel(std::string_view label) const override;
+  bool NodeHasLabel(NodeId n, ConstId label) const override;
+  bool EdgeHasLabel(EdgeId e, ConstId label) const override;
   bool NodePropertyIs(NodeId n, std::string_view name,
                       std::string_view value) const override;
   bool EdgePropertyIs(EdgeId e, std::string_view name,
@@ -93,8 +111,9 @@ class VectorGraphView final : public GraphView {
   explicit VectorGraphView(const VectorGraph& graph) : graph_(graph) {}
 
   const Multigraph& topology() const override { return graph_.topology(); }
-  bool NodeLabelIs(NodeId n, std::string_view label) const override;
-  bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  std::optional<ConstId> ResolveLabel(std::string_view label) const override;
+  bool NodeHasLabel(NodeId n, ConstId label) const override;
+  bool EdgeHasLabel(EdgeId e, ConstId label) const override;
   bool NodeFeatureIs(NodeId n, size_t feature,
                      std::string_view value) const override;
   bool EdgeFeatureIs(EdgeId e, size_t feature,

@@ -1,11 +1,15 @@
 #include "plan/exec.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/obs.h"
 #include "pathalg/cfpq_matrix.h"
+#include "pathalg/matrix_rpq.h"
 #include "pathalg/pairs.h"
 #include "rpq/cfpq_reference.h"
 #include "rpq/path_nfa.h"
@@ -14,13 +18,15 @@
 namespace kgq {
 namespace {
 
-/// Index of `var` in `schema`, or npos.
+constexpr size_t kNoColumn = static_cast<size_t>(-1);
+
+/// Index of `var` in `schema`, or kNoColumn.
 size_t ColumnOf(const std::vector<std::string>& schema,
                 const std::string& var) {
   for (size_t i = 0; i < schema.size(); ++i) {
     if (schema[i] == var) return i;
   }
-  return static_cast<size_t>(-1);
+  return kNoColumn;
 }
 
 struct RowHash {
@@ -32,6 +38,51 @@ struct RowHash {
     return static_cast<size_t>(h);
   }
 };
+
+/// Nodes a leaf may be evaluated from instead of the whole graph: the
+/// distinct values of a join key (HashJoin) or the nodes passing an
+/// endpoint test (Filter). Ascending and distinct.
+struct KeySet {
+  std::string var;
+  std::vector<NodeId> nodes;
+};
+using KeySets = std::vector<KeySet>;
+
+const KeySet* FindKeys(const KeySets* keys, const std::string& var) {
+  if (keys == nullptr) return nullptr;
+  for (const KeySet& k : *keys) {
+    if (k.var == var) return &k;
+  }
+  return nullptr;
+}
+
+/// The leaf below `op`'s leaf-adjacent test Filters when it can be
+/// evaluated from a key set — an EdgeScan or a regular PathAtom
+/// (context-free atoms always compute their whole relation) — else null.
+const LogicalOp* BindableLeaf(const LogicalOp& op) {
+  const LogicalOp* cur = &op;
+  while (cur->kind == LogicalKind::kFilter && cur->test != nullptr) {
+    cur = cur->children[0].get();
+  }
+  if (cur->kind == LogicalKind::kEdgeScan) return cur;
+  if (cur->kind == LogicalKind::kPathAtom &&
+      cur->path->kind() == PathExpr::Kind::kRegular) {
+    return cur;
+  }
+  return nullptr;
+}
+
+/// The `?test` every conforming path passes at its first node (`last`
+/// = false) or at its last node: the outermost factor of a concatenation
+/// chain, where the planner folds endpoint tests. Null when there is
+/// none.
+const TestExpr* EndpointNodeTest(const Regex& r, bool last) {
+  const Regex* cur = &r;
+  while (cur->kind() == Regex::Kind::kConcat) {
+    cur = last ? cur->rhs().get() : cur->lhs().get();
+  }
+  return cur->kind() == Regex::Kind::kNodeTest ? cur->test().get() : nullptr;
+}
 
 class Executor {
  public:
@@ -48,13 +99,14 @@ class Executor {
   /// thread has a TraceContext installed (serve's "profile":true path),
   /// every operator contributes one ProfileNode mirroring its EXPLAIN
   /// line — kind, rows in/out, engine choice and wall time. Without a
-  /// trace this is a null check and the plain dispatch below.
-  Result<RowSet> Exec(const LogicalOp& op) {
+  /// trace this is a null check and the plain dispatch below. `keys`
+  /// (may be null) are the key sets a parent offers the subtree's leaf.
+  Result<RowSet> Exec(const LogicalOp& op, const KeySets* keys = nullptr) {
     obs::TraceContext* trace = obs::CurrentTrace();
-    if (trace == nullptr) return ExecOp(op);
+    if (trace == nullptr) return ExecOp(op, keys);
     obs::ProfileNode* node = trace->PushOp(LogicalKindName(op.kind));
     const uint64_t start = obs::NowNanos();
-    Result<RowSet> result = ExecOp(op);
+    Result<RowSet> result = ExecOp(op, keys);
     node->time_ns = obs::NowNanos() - start;
     if (result.ok()) node->rows_out = result->rows.size();
     // rows_in = what the children fed this operator; leaves scan the
@@ -65,7 +117,7 @@ class Executor {
   }
 
  private:
-  Result<RowSet> ExecOp(const LogicalOp& op) {
+  Result<RowSet> ExecOp(const LogicalOp& op, const KeySets* keys) {
     switch (op.kind) {
       case LogicalKind::kNodeScan: {
         KGQ_SPAN("plan.op.node_scan");
@@ -73,11 +125,11 @@ class Executor {
       }
       case LogicalKind::kEdgeScan: {
         KGQ_SPAN("plan.op.edge_scan");
-        return EdgeScan(op);
+        return EdgeScan(op, keys);
       }
       case LogicalKind::kPathAtom: {
         KGQ_SPAN("plan.op.path_atom");
-        return PathAtom(op);
+        return PathAtom(op, keys);
       }
       case LogicalKind::kHashJoin: {
         KGQ_SPAN("plan.op.hash_join");
@@ -85,7 +137,7 @@ class Executor {
       }
       case LogicalKind::kFilter: {
         KGQ_SPAN("plan.op.filter");
-        return Filter(op);
+        return Filter(op, keys);
       }
       case LogicalKind::kProject: {
         KGQ_SPAN("plan.op.project");
@@ -97,12 +149,24 @@ class Executor {
 
   /// Records the physical engine the current operator chose into the
   /// active profile node (no-op without a trace). The choice depends
-  /// only on the plan and the snapshot, never on thread count — the
-  /// "engine" field is one of the deterministic profile fields.
-  static void ProfileEngine(const char* engine) {
+  /// only on the plan, the snapshot and exact row counts, never on
+  /// thread count — the "engine" field is one of the deterministic
+  /// profile fields. `bound` appends "-bound": the leaf ran from a set
+  /// of offered nodes, or from a path atom's target constant, instead of
+  /// from the whole graph.
+  static void ProfileEngine(const char* engine, bool bound = false) {
     if (obs::TraceContext* trace = obs::CurrentTrace()) {
-      if (obs::ProfileNode* node = trace->CurrentOp()) node->engine = engine;
+      if (obs::ProfileNode* node = trace->CurrentOp()) {
+        node->engine = engine;
+        if (bound) node->engine += "-bound";
+      }
     }
+  }
+
+  /// Counts a leaf evaluated from `num_keys` key nodes.
+  static void CountBound([[maybe_unused]] size_t num_keys) {
+    KGQ_COUNTER_INC("plan.bind.leaves");
+    KGQ_COUNTER_ADD("plan.bind.keys", num_keys);
   }
 
   /// Resolves a leaf's constant binding: false → the leaf is empty
@@ -114,6 +178,26 @@ class Executor {
     if (node == kNoNode || node >= num_nodes) return false;
     *active = true;
     *out = node;
+    return true;
+  }
+
+  /// The start nodes offered for a leaf endpoint `var`: the parent's key
+  /// set and the nodes passing `test` (a `?test` the endpoint's paths
+  /// must pass; may be null), intersected when both exist. False when
+  /// neither exists.
+  bool EndpointKeys(const std::string& var, const TestExpr* test,
+                    const KeySets* keys, std::vector<NodeId>* out) const {
+    const KeySet* offered = FindKeys(keys, var);
+    if (offered == nullptr && test == nullptr) return false;
+    if (offered == nullptr) {
+      *out = MatchNodes(view_, *test).ToVector();
+      return true;
+    }
+    *out = offered->nodes;
+    if (test != nullptr) {
+      ResolvedTest resolved(view_, *test);
+      std::erase_if(*out, [&](NodeId n) { return !resolved.MatchesNode(n); });
+    }
     return true;
   }
 
@@ -141,8 +225,12 @@ class Executor {
     return rs;
   }
 
-  Result<RowSet> EdgeScan(const LogicalOp& op) {
-    ProfileEngine(csr_ != nullptr ? "csr" : "list");
+  /// Single-label scan. With a snapshot it reads label partitions: from
+  /// its constant endpoint if it has one, else from the offered keys of
+  /// the endpoint whose partitions hold fewer entries — when that sum,
+  /// exact from the CSR offsets, is below the label's frequency — else
+  /// from every node.
+  Result<RowSet> EdgeScan(const LogicalOp& op, const KeySets* keys) {
     RowSet rs;
     rs.schema = op.schema;
     const bool diagonal = (op.src_var == op.dst_var);
@@ -152,6 +240,7 @@ class Executor {
                      &src_bound, &src_at) ||
         !UsableBound(op.has_bound_dst, op.bound_dst, view_.num_nodes(),
                      &dst_bound, &dst_at)) {
+      ProfileEngine(csr_ != nullptr ? "csr" : "list");
       return rs;
     }
     auto emit = [&](NodeId a, NodeId b) {
@@ -163,51 +252,108 @@ class Executor {
         rs.rows.push_back({a, b});
       }
     };
-    if (csr_ != nullptr) {
-      std::optional<LabelId> lab = csr_->FindLabel(op.label);
-      if (lab.has_value()) {
-        // (a, b) pairs: forward atoms read a's out partition; backward
-        // atoms read a's in partition (neighbor = the edge's source).
-        auto scan_from = [&](NodeId a) {
-          CsrSnapshot::Span part = op.backward
-                                       ? csr_->InForLabel(a, *lab)
-                                       : csr_->OutForLabel(a, *lab);
-          KGQ_COUNTER_ADD("plan.scan.label_partition_entries", part.size());
-          for (const CsrSnapshot::Entry& entry : part) {
-            emit(a, entry.neighbor);
-          }
-        };
-        if (src_bound) {
-          scan_from(src_at);
-        } else if (dst_bound && !diagonal) {
-          // Bound target: one partition of the reverse view.
-          CsrSnapshot::Span part = op.backward
-                                       ? csr_->OutForLabel(dst_at, *lab)
-                                       : csr_->InForLabel(dst_at, *lab);
-          KGQ_COUNTER_ADD("plan.scan.label_partition_entries", part.size());
-          for (const CsrSnapshot::Entry& entry : part) {
-            emit(entry.neighbor, dst_at);
-          }
-        } else {
-          for (NodeId a = 0; a < csr_->num_nodes(); ++a) scan_from(a);
-        }
-      }
-    } else {
+    if (csr_ == nullptr) {
+      ProfileEngine("list");
       const Multigraph& g = view_.topology();
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (!view_.EdgeLabelIs(e, op.label)) continue;
+      std::optional<ConstId> label = view_.ResolveLabel(op.label);
+      for (EdgeId e = 0; label.has_value() && e < g.num_edges(); ++e) {
+        if (!view_.EdgeHasLabel(e, *label)) continue;
         if (op.backward) {
           emit(g.EdgeTarget(e), g.EdgeSource(e));
         } else {
           emit(g.EdgeSource(e), g.EdgeTarget(e));
         }
       }
+      KGQ_COUNTER_ADD("plan.rows.edge_scan", rs.rows.size());
+      return rs;
+    }
+
+    std::optional<LabelId> lab = csr_->FindLabel(op.label);
+    if (!lab.has_value()) {  // No edge carries the label.
+      ProfileEngine("csr");
+      return rs;
+    }
+    // Reads the label partition of `a` holding pairs (a, ·), or with
+    // `from_dst` pairs (·, a): backward atoms swap the in and out views.
+    auto partition = [&](NodeId a, bool from_dst) {
+      return op.backward != from_dst ? csr_->InForLabel(a, *lab)
+                                     : csr_->OutForLabel(a, *lab);
+    };
+    auto scan = [&](NodeId a, bool from_dst) {
+      CsrSnapshot::Span part = partition(a, from_dst);
+      KGQ_COUNTER_ADD("plan.scan.label_partition_entries", part.size());
+      for (const CsrSnapshot::Entry& entry : part) {
+        if (from_dst) {
+          emit(entry.neighbor, a);
+        } else {
+          emit(a, entry.neighbor);
+        }
+      }
+    };
+    const bool constant = src_bound || (dst_bound && !diagonal);
+    const KeySet* best = nullptr;
+    bool from_dst = false;
+    size_t best_cost = csr_->LabelFrequency(*lab);
+    for (bool dst : {false, true}) {
+      const KeySet* offered =
+          constant || (dst && diagonal)
+              ? nullptr
+              : FindKeys(keys, dst ? op.dst_var : op.src_var);
+      if (offered == nullptr) continue;
+      size_t cost = 0;
+      for (NodeId a : offered->nodes) cost += partition(a, dst).size();
+      if (cost < best_cost) {
+        best = offered;
+        best_cost = cost;
+        from_dst = dst;
+      }
+    }
+    ProfileEngine("csr", best != nullptr);
+    if (constant) {
+      scan(src_bound ? src_at : dst_at, !src_bound);
+    } else if (best != nullptr) {
+      CountBound(best->nodes.size());
+      for (NodeId a : best->nodes) scan(a, from_dst);
+    } else {
+      for (NodeId a = 0; a < csr_->num_nodes(); ++a) scan(a, false);
     }
     KGQ_COUNTER_ADD("plan.rows.edge_scan", rs.rows.size());
     return rs;
   }
 
-  Result<RowSet> PathAtom(const LogicalOp& op) {
+  /// Per-source reachability from each of `starts` (row i = the nodes
+  /// reachable from starts[i]): one matrix fixpoint over all of them,
+  /// or one NFA search per start in ParallelFor chunks.
+  std::vector<Bitset> ReachFrom(const PathNfa& nfa,
+                                const std::vector<NodeId>& starts,
+                                bool matrix) const {
+    PathQueryOptions popts;
+    popts.parallel = options_.parallel;
+    if (matrix) {
+      KGQ_SPAN("plan.op.matrix_rpq");
+      Result<std::vector<Bitset>> rows = MatrixReachFromAll(nfa, starts, popts);
+      if (rows.ok()) return *std::move(rows);
+    }
+    std::vector<Bitset> rows(starts.size());
+    const size_t grain = std::max<size_t>(1, (starts.size() + 127) / 128);
+    ParallelFor(
+        0, starts.size(), grain,
+        [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            rows[i] = ReachableFrom(nfa, starts[i], popts);
+          }
+        },
+        options_.parallel);
+    return rows;
+  }
+
+  /// Regular path atom. Searches start from its source constant; else
+  /// from whichever endpoint offers fewer start nodes — a target
+  /// constant, the parent's join keys, or the nodes passing a `?test`
+  /// folded at that end — when they are fewer than the graph's nodes
+  /// (target-side searches run the reversed regex); else from every
+  /// node.
+  Result<RowSet> PathAtom(const LogicalOp& op, const KeySets* keys) {
     if (op.path->kind() == PathExpr::Kind::kContextFree) {
       return CfPathAtom(op);
     }
@@ -222,23 +368,52 @@ class Executor {
                      &dst_bound, &dst_at)) {
       return rs;
     }
-    KGQ_ASSIGN_OR_RETURN(PathNfa nfa,
-                         PathNfa::Compile(view_, *op.path->regex()));
+    const RegexPtr& regex = op.path->regex();
+    std::vector<NodeId> starts;
+    bool from_dst = false;
+    bool use_keys = false;
+    if (src_bound) {
+      starts = {src_at};
+    } else if (dst_bound && !diagonal) {
+      starts = {dst_at};
+      from_dst = use_keys = true;
+    } else {
+      std::vector<NodeId> src_keys, dst_keys;
+      const bool has_src = EndpointKeys(
+          op.src_var, EndpointNodeTest(*regex, false), keys, &src_keys);
+      const bool has_dst =
+          !diagonal && EndpointKeys(op.dst_var, EndpointNodeTest(*regex, true),
+                                    keys, &dst_keys);
+      const size_t src_n = has_src ? src_keys.size() : SIZE_MAX;
+      const size_t dst_n = has_dst ? dst_keys.size() : SIZE_MAX;
+      from_dst = dst_n < src_n;
+      use_keys = std::min(src_n, dst_n) < view_.num_nodes();
+      if (use_keys) {
+        starts = std::move(from_dst ? dst_keys : src_keys);
+      } else {
+        from_dst = false;
+        starts.resize(view_.num_nodes());
+        std::iota(starts.begin(), starts.end(), NodeId{0});
+      }
+    }
+    // Planner-selected physical engine. The matrix fixpoint needs the
+    // snapshot's label partitions; without one the request degrades to
+    // the BFS engine (results are bit-identical either way).
+    const bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    ProfileEngine(matrix ? "matrix" : "nfa", use_keys);
+    if (use_keys) CountBound(starts.size());
+    if (starts.empty()) return rs;
+
+    const RegexPtr searched = from_dst ? Regex::Reverse(regex) : regex;
+    KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view_, *searched));
     if (csr_ != nullptr) {
       // Attach is best-effort: topology was pre-checked, and a label
       // mismatch silently falls back to bitset filtering inside the
       // product, so a failure here cannot change results.
       (void)nfa.AttachSnapshot(csr_);
     }
-    PathQueryOptions popts;
-    popts.parallel = options_.parallel;
-    // Planner-selected physical engine. The matrix fixpoint needs the
-    // snapshot's label partitions; without a usable attach the request
-    // degrades to the BFS engine (results are bit-identical either way).
-    const bool matrix = op.use_matrix_rpq && nfa.snapshot() != nullptr;
-    if (matrix) popts.engine = PathEngine::kMatrix;
-    ProfileEngine(matrix ? "matrix" : "nfa");
     auto emit = [&](NodeId a, NodeId b) {
+      if (src_bound && a != src_at) return;
       if (dst_bound && b != dst_at) return;
       if (diagonal) {
         if (a == b) rs.rows.push_back({a});
@@ -246,26 +421,18 @@ class Executor {
         rs.rows.push_back({a, b});
       }
     };
-    auto evaluate = [&] {
-      if (src_bound) {
-        // Single-source fast path: one saturating configuration BFS
-        // instead of n of them.
-        ReachableFrom(nfa, src_at, popts).ForEach([&](size_t b) {
-          emit(src_at, static_cast<NodeId>(b));
-        });
-      } else {
-        std::vector<Bitset> pairs = AllPairs(nfa, popts);
-        for (NodeId a = 0; a < pairs.size(); ++a) {
-          pairs[a].ForEach(
-              [&](size_t b) { emit(a, static_cast<NodeId>(b)); });
+    // One search per start node, rows in start order; a reversed search
+    // from target b reaches exactly the sources a of (a, b).
+    std::vector<Bitset> reach = ReachFrom(nfa, starts, matrix);
+    for (size_t i = 0; i < starts.size(); ++i) {
+      reach[i].ForEach([&](size_t other) {
+        const NodeId o = static_cast<NodeId>(other);
+        if (from_dst) {
+          emit(o, starts[i]);
+        } else {
+          emit(starts[i], o);
         }
-      }
-    };
-    if (matrix) {
-      KGQ_SPAN("plan.op.matrix_rpq");
-      evaluate();
-    } else {
-      evaluate();
+      });
     }
     KGQ_COUNTER_ADD("plan.rows.path_atom", rs.rows.size());
     return rs;
@@ -326,7 +493,21 @@ class Executor {
 
   Result<RowSet> HashJoin(const LogicalOp& op) {
     KGQ_ASSIGN_OR_RETURN(RowSet left, Exec(*op.children[0]));
-    KGQ_ASSIGN_OR_RETURN(RowSet right, Exec(*op.children[1]));
+    // Bind join: offer the right leaf the distinct left values of each
+    // join key on its endpoints, so it can start from those nodes.
+    KeySets offered;
+    if (const LogicalOp* leaf = BindableLeaf(*op.children[1])) {
+      for (const std::string* var : {&leaf->src_var, &leaf->dst_var}) {
+        const size_t col = ColumnOf(left.schema, *var);
+        if (col == kNoColumn || FindKeys(&offered, *var) != nullptr) continue;
+        Bitset seen(view_.num_nodes());
+        for (const auto& row : left.rows) seen.Set(row[col]);
+        offered.push_back({*var, seen.ToVector()});
+      }
+    }
+    KGQ_ASSIGN_OR_RETURN(
+        RowSet right,
+        Exec(*op.children[1], offered.empty() ? nullptr : &offered));
     RowSet rs;
     rs.schema = op.schema;
 
@@ -334,12 +515,12 @@ class Executor {
     std::vector<std::pair<size_t, size_t>> keys;  // (left col, right col)
     for (size_t i = 0; i < left.schema.size(); ++i) {
       size_t j = ColumnOf(right.schema, left.schema[i]);
-      if (j != static_cast<size_t>(-1)) keys.emplace_back(i, j);
+      if (j != kNoColumn) keys.emplace_back(i, j);
     }
     // Output composition: op.schema = left schema ++ right-only columns.
     std::vector<size_t> right_extra;
     for (size_t j = 0; j < right.schema.size(); ++j) {
-      if (ColumnOf(left.schema, right.schema[j]) == static_cast<size_t>(-1)) {
+      if (ColumnOf(left.schema, right.schema[j]) == kNoColumn) {
         right_extra.push_back(j);
       }
     }
@@ -403,19 +584,38 @@ class Executor {
     return rs;
   }
 
-  Result<RowSet> Filter(const LogicalOp& op) {
-    KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(*op.children[0]));
+  /// Test or constant-binding Filter. A test on an endpoint of a
+  /// bindable leaf below also hands the leaf the nodes passing it (or
+  /// narrows the parent's key set for that endpoint), so the leaf can
+  /// start from them — the label-driven anchor.
+  Result<RowSet> Filter(const LogicalOp& op, const KeySets* keys) {
+    KeySets anchored;
+    const KeySets* down = keys;
+    const LogicalOp* leaf = BindableLeaf(*op.children[0]);
+    if (op.test != nullptr && leaf != nullptr &&
+        (leaf->src_var == op.src_var || leaf->dst_var == op.src_var)) {
+      if (keys != nullptr) anchored = *keys;
+      std::vector<NodeId> nodes;
+      EndpointKeys(op.src_var, op.test.get(), keys, &nodes);
+      std::erase_if(anchored,
+                    [&](const KeySet& k) { return k.var == op.src_var; });
+      anchored.push_back({op.src_var, std::move(nodes)});
+      down = &anchored;
+    }
+    KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(*op.children[0], down));
     size_t col = ColumnOf(input.schema, op.src_var);
-    if (col == static_cast<size_t>(-1)) {
+    if (col == kNoColumn) {
       return Status::Internal("filter variable '" + op.src_var +
                               "' not in input schema");
     }
+    std::optional<ResolvedTest> test;
+    if (op.test != nullptr) test.emplace(view_, *op.test);
     RowSet rs;
     rs.schema = std::move(input.schema);
     for (auto& row : input.rows) {
       bool keep;
-      if (op.test != nullptr) {
-        keep = EvalNodeTest(view_, *op.test, row[col]);
+      if (test.has_value()) {
+        keep = test->MatchesNode(row[col]);
       } else {
         keep = (op.bound_src != kNoNode && row[col] == op.bound_src);
       }
@@ -431,7 +631,7 @@ class Executor {
     cols.reserve(op.columns.size());
     for (const std::string& var : op.columns) {
       size_t c = ColumnOf(input.schema, var);
-      if (c == static_cast<size_t>(-1)) {
+      if (c == kNoColumn) {
         return Status::Internal("projected variable '" + var +
                                 "' not in input schema");
       }

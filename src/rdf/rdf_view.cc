@@ -37,19 +37,21 @@ RdfGraphView::RdfGraphView(const TripleStore& store,
   }
 }
 
-bool RdfGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
-  std::optional<ConstId> label_id = store_.dict().Find(label);
-  if (!label_id.has_value()) return false;
+std::optional<ConstId> RdfGraphView::ResolveLabel(
+    std::string_view label) const {
+  return store_.dict().Find(label);
+}
+
+bool RdfGraphView::NodeHasLabel(NodeId n, ConstId label) const {
   ConstId term = node_terms_[n];
   for (ConstId pred : label_preds_) {
-    if (!store_.Match(term, pred, *label_id).empty()) return true;
+    if (!store_.Match(term, pred, label).empty()) return true;
   }
   return false;
 }
 
-bool RdfGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
-  std::optional<ConstId> label_id = store_.dict().Find(label);
-  return label_id.has_value() && edge_preds_[e] == *label_id;
+bool RdfGraphView::EdgeHasLabel(EdgeId e, ConstId label) const {
+  return edge_preds_[e] == label;
 }
 
 CsrSnapshot RdfGraphView::Snapshot() const {

@@ -29,8 +29,9 @@ class RdfGraphView final : public GraphView {
                         const RdfsVocabulary& vocab = {});
 
   const Multigraph& topology() const override { return graph_; }
-  bool NodeLabelIs(NodeId n, std::string_view label) const override;
-  bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  std::optional<ConstId> ResolveLabel(std::string_view label) const override;
+  bool NodeHasLabel(NodeId n, ConstId label) const override;
+  bool EdgeHasLabel(EdgeId e, ConstId label) const override;
 
   /// The node for an RDF term; kNoNode if the term never occurs as
   /// subject or object.

@@ -62,6 +62,25 @@ RegexPtr Regex::Star(RegexPtr inner) {
   return r;
 }
 
+RegexPtr Regex::Reverse(const RegexPtr& r) {
+  switch (r->kind_) {
+    case Kind::kNodeTest:
+      return r;
+    case Kind::kEdgeFwd:
+      return EdgeBwd(r->test_);
+    case Kind::kEdgeBwd:
+      return EdgeFwd(r->test_);
+    case Kind::kUnion:
+      return Union(Reverse(r->lhs_), Reverse(r->rhs_));
+    case Kind::kConcat:
+      return Concat(Reverse(r->rhs_), Reverse(r->lhs_));
+    case Kind::kStar:
+      return Star(Reverse(r->lhs_));
+  }
+  assert(false);
+  return r;
+}
+
 size_t Regex::NumAtoms() const {
   switch (kind_) {
     case Kind::kNodeTest:

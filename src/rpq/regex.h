@@ -57,6 +57,12 @@ class Regex {
     return EdgeBwd(TestExpr::Label(std::move(label)));
   }
 
+  /// The reversed expression: its pairs are the transposed pairs of
+  /// `r`, (a, b) ∈ ⟦r⟧ ⟺ (b, a) ∈ ⟦Reverse(r)⟧. Swaps ℓ and ℓ⁻ and
+  /// reverses the order of every concatenation; node tests, unions and
+  /// stars keep their shape. Lets a search start from a path's target.
+  static RegexPtr Reverse(const RegexPtr& r);
+
   /// Number of atoms (leaves) in the expression.
   size_t NumAtoms() const;
 

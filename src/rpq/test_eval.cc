@@ -50,18 +50,69 @@ bool EvalEdgeTest(const GraphView& view, const TestExpr& test, EdgeId e) {
   return false;
 }
 
+ResolvedTest::ResolvedTest(const GraphView& view, const TestExpr& test)
+    : view_(view) {
+  Add(test);
+}
+
+uint32_t ResolvedTest::Add(const TestExpr& t) {
+  const uint32_t i = static_cast<uint32_t>(nodes_.size());
+  nodes_.push_back({&t, std::nullopt});
+  if (t.kind() == TestExpr::Kind::kLabel) {
+    nodes_[i].label = view_.ResolveLabel(t.label());
+  }
+  if (t.lhs() != nullptr) {
+    const uint32_t lhs = Add(*t.lhs());
+    nodes_[i].lhs = lhs;
+  }
+  if (t.rhs() != nullptr) {
+    const uint32_t rhs = Add(*t.rhs());
+    nodes_[i].rhs = rhs;
+  }
+  return i;
+}
+
+bool ResolvedTest::Eval(uint32_t i, uint32_t id, bool node) const {
+  const Node& x = nodes_[i];
+  const TestExpr& t = *x.expr;
+  switch (t.kind()) {
+    case TestExpr::Kind::kLabel:
+      if (!x.label.has_value()) return false;
+      return node ? view_.NodeHasLabel(id, *x.label)
+                  : view_.EdgeHasLabel(id, *x.label);
+    case TestExpr::Kind::kPropEq:
+      return node ? view_.NodePropertyIs(id, t.prop_name(), t.value())
+                  : view_.EdgePropertyIs(id, t.prop_name(), t.value());
+    case TestExpr::Kind::kFeatEq:
+      return node ? view_.NodeFeatureIs(id, t.feature(), t.value())
+                  : view_.EdgeFeatureIs(id, t.feature(), t.value());
+    case TestExpr::Kind::kNot:
+      return !Eval(x.lhs, id, node);
+    case TestExpr::Kind::kAnd:
+      return Eval(x.lhs, id, node) && Eval(x.rhs, id, node);
+    case TestExpr::Kind::kOr:
+      return Eval(x.lhs, id, node) || Eval(x.rhs, id, node);
+    case TestExpr::Kind::kTrue:
+      return true;
+  }
+  assert(false);
+  return false;
+}
+
 Bitset MatchNodes(const GraphView& view, const TestExpr& test) {
+  ResolvedTest resolved(view, test);
   Bitset out(view.num_nodes());
   for (NodeId n = 0; n < view.num_nodes(); ++n) {
-    if (EvalNodeTest(view, test, n)) out.Set(n);
+    if (resolved.MatchesNode(n)) out.Set(n);
   }
   return out;
 }
 
 Bitset MatchEdges(const GraphView& view, const TestExpr& test) {
+  ResolvedTest resolved(view, test);
   Bitset out(view.num_edges());
   for (EdgeId e = 0; e < view.num_edges(); ++e) {
-    if (EvalEdgeTest(view, test, e)) out.Set(e);
+    if (resolved.MatchesEdge(e)) out.Set(e);
   }
   return out;
 }

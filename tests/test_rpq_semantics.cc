@@ -98,6 +98,53 @@ TEST(TestEvalTest, FeatureAtomsOnVectorGraph) {
   EXPECT_EQ(MatchNodes(view, *fbig).Count(), 0u);
 }
 
+// MatchNodes / MatchEdges and ResolvedTest resolve label atoms once per
+// call; every answer must equal the per-element EvalNodeTest /
+// EvalEdgeTest path, on all three models, labels that exist nowhere
+// included.
+TEST(TestEvalTest, ResolvedLabelsEqualPerElementEvaluation) {
+  const std::vector<TestPtr> tests = {
+      TestExpr::Label("person"),
+      TestExpr::Label("rides"),
+      TestExpr::Label("no_such_label"),
+      TestExpr::Not(TestExpr::Label("no_such_label")),
+      TestExpr::Or(TestExpr::Label("bus"), TestExpr::Label("contact")),
+      TestExpr::And(TestExpr::Label("rides"),
+                    TestExpr::PropEq("date", "3/4/21")),
+      TestExpr::And(TestExpr::Not(TestExpr::Label("person")),
+                    TestExpr::FeatEq(0, "bus")),
+      TestExpr::True(),
+  };
+  auto check = [&](const GraphView& view, const char* model) {
+    for (const TestPtr& t : tests) {
+      SCOPED_TRACE(std::string(model) + " " + t->ToString());
+      ResolvedTest resolved(view, *t);
+      Bitset nodes = MatchNodes(view, *t);
+      for (NodeId n = 0; n < view.num_nodes(); ++n) {
+        const bool want = EvalNodeTest(view, *t, n);
+        EXPECT_EQ(nodes.Test(n), want) << "node " << n;
+        EXPECT_EQ(resolved.MatchesNode(n), want) << "node " << n;
+      }
+      Bitset edges = MatchEdges(view, *t);
+      for (EdgeId e = 0; e < view.num_edges(); ++e) {
+        const bool want = EvalEdgeTest(view, *t, e);
+        EXPECT_EQ(edges.Test(e), want) << "edge " << e;
+        EXPECT_EQ(resolved.MatchesEdge(e), want) << "edge " << e;
+      }
+    }
+  };
+  LabeledGraph labeled = Figure2Labeled();
+  PropertyGraph property = Figure2Property();
+  VectorGraph vector = Figure2Vector();
+  check(LabeledGraphView(labeled), "labeled");
+  check(PropertyGraphView(property), "property");
+  check(VectorGraphView(vector), "vector");
+  // Sanity: the label atoms do match something on each model.
+  EXPECT_EQ(MatchNodes(LabeledGraphView(labeled), *tests[0]).Count(), 3u);
+  EXPECT_EQ(MatchNodes(VectorGraphView(vector), *tests[0]).Count(), 3u);
+  EXPECT_EQ(MatchNodes(PropertyGraphView(property), *tests[2]).Count(), 0u);
+}
+
 // -------------------------------------------------- reference semantics
 
 TEST(ReferenceEvalTest, NodeTestGivesTrivialPaths) {

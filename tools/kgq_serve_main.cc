@@ -297,6 +297,10 @@ int main(int argc, char** argv) {
 #endif
   }
   std::ios::sync_with_stdio(false);
+  // Untie cin from cout: a tied cin flushes cout before every read, so
+  // the dispatcher's getline would flush the stream while workers write
+  // responses into it, and a response could reach the output twice.
+  std::cin.tie(nullptr);
   server.ServeStream(std::cin, std::cout);
   exporter.Stop();
   return 0;
