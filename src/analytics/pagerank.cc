@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "graph/traversal.h"
 #include "obs/obs.h"
@@ -73,231 +75,80 @@ std::vector<double> PageRank(const Multigraph& g,
 
 namespace {
 
-/// ceil(a / b) for non-negative 128-bit a, positive b.
-inline int64_t CeilDiv128(__int128 a, __int128 b) {
-  return static_cast<int64_t>((a + b - 1) / b);
-}
-
-/// Node-block size fixed by n alone: chunk boundaries (and hence the
-/// reduction tree) never depend on the thread count.
-inline size_t FixpointGrain(size_t n) {
-  return std::max<size_t>(64, (n + 255) / 256);
-}
-
-/// One sweep of the floor-rounded monotone map F (see the header).
-/// Integer arithmetic only: associative sums make the result identical
-/// for every schedule.
-void FixpointSweep(const CsrSnapshot& csr, const std::vector<int64_t>& x,
-                   std::vector<int64_t>* out, const ParallelOptions& par) {
+/// Visit order of the Gauss–Seidel passes: the reverse postorder of an
+/// iterative DFS over out-edges, roots taken in ascending id. On the
+/// acyclic parts of the graph every node then follows all of its
+/// in-neighbours, so a single pass carries rank along whole paths.
+std::vector<NodeId> ReversePostorder(const CsrSnapshot& csr) {
   const size_t n = csr.num_nodes();
-  const size_t grain = FixpointGrain(n);
-  int64_t dangling = ParallelReduce(
-      0, n, grain, int64_t{0},
-      [&](size_t lo, size_t hi) {
-        int64_t s = 0;
-        for (NodeId v = lo; v < hi; ++v) {
-          if (csr.OutDegree(v) == 0) s += x[v];
-        }
-        return s;
-      },
-      [](int64_t a, int64_t b) { return a + b; }, par);
-  const __int128 n128 = static_cast<__int128>(n);
-  const int64_t base =
-      static_cast<int64_t>((15 * static_cast<__int128>(kPageRankScale)) /
-                           (100 * n128)) +
-      static_cast<int64_t>((85 * static_cast<__int128>(dangling)) /
-                           (100 * n128));
-  ParallelFor(
-      0, n, grain,
-      [&](size_t lo, size_t hi) {
-        for (NodeId v = lo; v < hi; ++v) {
-          __int128 sum = base;
-          for (const CsrSnapshot::Entry& e : csr.In(v)) {
-            sum += (85 * static_cast<__int128>(x[e.neighbor])) /
-                   (100 * static_cast<__int128>(csr.OutDegree(e.neighbor)));
-          }
-          (*out)[v] = static_cast<int64_t>(sum);
-        }
-      },
-      par);
+  std::vector<NodeId> post;
+  post.reserve(n);
+  std::vector<bool> seen(n, false);
+  std::vector<std::pair<NodeId, size_t>> stack;  // (node, next out-entry)
+  for (NodeId root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      const NodeId v = stack.back().first;
+      const CsrSnapshot::Span out = csr.Out(v);
+      size_t& next = stack.back().second;
+      if (next == out.size()) {
+        post.push_back(v);
+        stack.pop_back();
+        continue;
+      }
+      const NodeId w = out[next++].neighbor;
+      if (!seen[w]) {
+        seen[w] = true;
+        stack.emplace_back(w, 0);
+      }
+    }
+  }
+  std::reverse(post.begin(), post.end());
+  return post;
 }
 
 }  // namespace
 
-PageRankFixpoint PageRankFixpointCold(const CsrSnapshot& csr,
-                                      const ParallelOptions& par) {
+PageRankFixpoint PageRankLeastFixpoint(const CsrSnapshot& csr) {
   KGQ_SPAN("analytics.pagerank.fixpoint");
   PageRankFixpoint r;
   const size_t n = csr.num_nodes();
   r.rank.assign(n, 0);
   if (n == 0) return r;
-  // Kleene ascent from bottom: F is monotone and the chain is bounded
-  // by the fixpoint, so plain iteration terminates at the lfp.
-  std::vector<int64_t> next(n);
-  for (;;) {
+  // 64-bit arithmetic suffices: every x stays below the lfp, whose
+  // entries sum to at most S = kPageRankScale = 2^40 (F maps
+  // {sum x <= S} into itself: sum F(x) <= 0.15 S + 0.85 sum x), so each
+  // product 85 * x[u] and 85 * dangling is below 2^47.
+  const int64_t n100 = 100 * static_cast<int64_t>(n);
+  const int64_t teleport = 15 * kPageRankScale / n100;
+  std::vector<int64_t>& x = r.rank;
+  // contrib[u] = floor(85 x[u] / (100 outdeg u)), refreshed when x[u]
+  // rises; dangling = sum of x over nodes without out-edges.
+  std::vector<int64_t> contrib(n, 0);
+  int64_t dangling = 0;
+  int64_t dangling_term = 0;  // floor(85 * dangling / (100 n))
+  const std::vector<NodeId> order = ReversePostorder(csr);
+  for (bool changed = true; changed;) {
+    changed = false;
     ++r.iterations;
-    FixpointSweep(csr, r.rank, &next, par);
-    if (next == r.rank) break;
-    r.rank.swap(next);
-  }
-  KGQ_HISTOGRAM_RECORD("pagerank.cold_iterations", r.iterations);
-  return r;
-}
-
-PageRankFixpoint PageRankFixpointWarm(
-    const CsrSnapshot& prev, const std::vector<int64_t>& prev_rank,
-    const CsrSnapshot& csr,
-    const std::vector<std::pair<NodeId, NodeId>>& deleted_edges,
-    const ParallelOptions& par) {
-  const size_t no = prev.num_nodes();
-  const size_t nn = csr.num_nodes();
-  if (nn == 0 || no == 0 || nn < no || prev_rank.size() != no) {
-    return PageRankFixpointCold(csr, par);
-  }
-  KGQ_SPAN("analytics.pagerank.fixpoint_warm");
-
-  // ----- Damage seeds P: everything that can make a floor-rounded
-  // contribution of the old Kleene chain exceed the new chain's.
-  auto contrib = [&](NodeId u, size_t deg) -> int64_t {
-    return static_cast<int64_t>((85 * static_cast<__int128>(prev_rank[u])) /
-                                (100 * static_cast<__int128>(deg)));
-  };
-  std::vector<int64_t> P(nn, 0);
-  // Out-degree increases shrink every surviving edge's contribution:
-  // sup over x <= lfp_old of the per-edge floor difference is bounded
-  // by its value at lfp_old plus one. Applied to all old out-edges
-  // here; deleted ones are corrected to the full deletion seed below.
-  for (NodeId u = 0; u < no; ++u) {
-    const size_t d_o = prev.OutDegree(u);
-    if (d_o == 0) continue;
-    const size_t d_n = csr.OutDegree(u);
-    if (d_n > d_o) {
-      const int64_t drop = contrib(u, d_o) - contrib(u, d_n) + 1;
-      for (const CsrSnapshot::Entry& e : prev.Out(u)) {
-        P[e.neighbor] += drop;
+    for (NodeId v : order) {
+      int64_t f = teleport + dangling_term;
+      for (const CsrSnapshot::Entry& e : csr.In(v)) f += contrib[e.neighbor];
+      if (f <= x[v]) continue;
+      changed = true;
+      const int64_t deg = static_cast<int64_t>(csr.OutDegree(v));
+      if (deg == 0) {
+        dangling += f - x[v];
+        dangling_term = 85 * dangling / n100;
+      } else {
+        contrib[v] = 85 * f / (100 * deg);
       }
+      x[v] = f;
     }
   }
-  // A deleted edge loses its whole old contribution at the target.
-  for (const auto& [f, t] : deleted_edges) {
-    const size_t d_o = prev.OutDegree(f);
-    const size_t d_n = csr.OutDegree(f);
-    int64_t seed = contrib(f, d_o) + 1;
-    if (d_n > d_o) {
-      seed -= contrib(f, d_o) - contrib(f, d_n) + 1;  // undo the loop above
-    }
-    P[t] += seed;
-  }
-  // Global seed: teleport-base shrink when n grew, the dangling-sum
-  // denominator change, and mass of nodes that stopped dangling.
-  __int128 glob = 0;
-  if (nn > no) {
-    glob += (15 * static_cast<__int128>(kPageRankScale)) /
-                (100 * static_cast<__int128>(no)) -
-            (15 * static_cast<__int128>(kPageRankScale)) /
-                (100 * static_cast<__int128>(nn));
-    __int128 dang_o = 0;
-    for (NodeId v = 0; v < no; ++v) {
-      if (prev.OutDegree(v) == 0) dang_o += prev_rank[v];
-    }
-    glob += CeilDiv128(85 * dang_o, 100 * static_cast<__int128>(no)) -
-            static_cast<int64_t>(85 * dang_o /
-                                 (100 * static_cast<__int128>(nn))) +
-            1;
-  }
-  __int128 newly_nondangling = 0;
-  for (NodeId v = 0; v < no; ++v) {
-    if (prev.OutDegree(v) == 0 && csr.OutDegree(v) > 0) {
-      newly_nondangling += prev_rank[v];
-    }
-  }
-  if (newly_nondangling != 0) {
-    glob += CeilDiv128(85 * newly_nondangling,
-                       100 * static_cast<__int128>(nn));
-  }
-  if (glob != 0) {
-    for (NodeId v = 0; v < nn; ++v) P[v] += static_cast<int64_t>(glob);
-  }
-
-  // ----- Damage fixpoint D >= o_k - c_k for every step k of the old
-  // and new Kleene chains: Jacobi rounds of the ceil-rounded system
-  // D' = P + ceil-dangling-term + sum ceil(85 D[u] / (100 outdeg(u))).
-  const size_t grain = FixpointGrain(nn);
-  std::vector<int64_t> D = P, Dn(nn);
-  constexpr size_t kDamageRoundCap = 500;
-  size_t damage_rounds = 0;
-  bool capped = false;
-  for (;;) {
-    ++damage_rounds;
-    int64_t dang_dmg = ParallelReduce(
-        0, nn, grain, int64_t{0},
-        [&](size_t lo, size_t hi) {
-          int64_t s = 0;
-          for (NodeId v = lo; v < hi; ++v) {
-            if (csr.OutDegree(v) == 0) s += D[v];
-          }
-          return s;
-        },
-        [](int64_t a, int64_t b) { return a + b; }, par);
-    const int64_t gterm =
-        dang_dmg != 0
-            ? CeilDiv128(85 * static_cast<__int128>(dang_dmg),
-                         100 * static_cast<__int128>(nn))
-            : 0;
-    ParallelFor(
-        0, nn, grain,
-        [&](size_t lo, size_t hi) {
-          for (NodeId v = lo; v < hi; ++v) {
-            __int128 s = P[v] + gterm;
-            for (const CsrSnapshot::Entry& e : csr.In(v)) {
-              if (D[e.neighbor] != 0) {
-                s += CeilDiv128(
-                    85 * static_cast<__int128>(D[e.neighbor]),
-                    100 * static_cast<__int128>(csr.OutDegree(e.neighbor)));
-              }
-            }
-            Dn[v] = static_cast<int64_t>(s);
-          }
-        },
-        par);
-    if (Dn == D) break;
-    D.swap(Dn);
-    if (damage_rounds > kDamageRoundCap) {
-      capped = true;
-      break;
-    }
-  }
-  KGQ_HISTOGRAM_RECORD("pagerank.damage_rounds", damage_rounds);
-  if (capped) {
-    // The damage bound did not settle: cold restart (warm stays false,
-    // the caller's fallback counter picks this up).
-    return PageRankFixpointCold(csr, par);
-  }
-
-  // ----- z = max(0, lfp_old - D) is a provable lower bound of the new
-  // lfp; join-ascend x = max(x, F(x)) terminates at exactly the lfp
-  // (Knaster–Tarski: the ascent stays below every fixpoint it starts
-  // below, and strictly increases until F's least fixpoint holds).
-  PageRankFixpoint r;
-  r.warm = true;
-  r.rank.assign(nn, 0);
-  for (NodeId v = 0; v < no; ++v) {
-    r.rank[v] = std::max<int64_t>(0, prev_rank[v] - D[v]);
-  }
-  std::vector<int64_t> next(nn);
-  for (;;) {
-    ++r.iterations;
-    FixpointSweep(csr, r.rank, &next, par);
-    bool still = true;
-    for (NodeId v = 0; v < nn; ++v) {
-      if (next[v] > r.rank[v]) {
-        r.rank[v] = next[v];
-        still = false;
-      }
-    }
-    if (still) break;
-  }
-  KGQ_HISTOGRAM_RECORD("pagerank.warm_iterations", r.iterations);
+  KGQ_HISTOGRAM_RECORD("pagerank.fixpoint_passes", r.iterations);
   return r;
 }
 

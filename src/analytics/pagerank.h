@@ -2,7 +2,6 @@
 #define KGQ_ANALYTICS_PAGERANK_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
@@ -42,44 +41,32 @@ inline constexpr int64_t kPageRankScale = int64_t{1} << 40;
 struct PageRankFixpoint {
   /// The least fixpoint of the floor-rounded update, at kPageRankScale.
   /// A canonical value: it depends only on the graph, not on the start
-  /// vector, iteration schedule, or thread count.
+  /// vector, visit order or iteration schedule.
   std::vector<int64_t> rank;
-  size_t iterations = 0;  ///< update sweeps until the fixpoint held still
-  bool warm = false;      ///< true iff the warm path produced the result
+  size_t iterations = 0;  ///< passes, the last of which changed nothing
 };
 
-/// Integer PageRank as a monotone lattice map: one sweep computes
+/// Integer PageRank as a monotone lattice map F on rank vectors:
 ///
 ///   F(x)[v] = floor(15*S/(100n)) + floor(85*dangling(x)/(100n))
 ///           + sum over in-edges (u,v) of floor(85*x[u] / (100*outdeg(u)))
 ///
-/// with S = kPageRankScale and every intermediate in 128-bit integers.
-/// F is monotone, so Kleene iteration from 0 terminates at the least
-/// fixpoint — the canonical per-graph value both entry points return.
-/// Integer sums are associative, so the result is bit-identical for
-/// every ParallelOptions thread count.
-PageRankFixpoint PageRankFixpointCold(const CsrSnapshot& csr,
-                                      const ParallelOptions& par = {});
-
-/// Warm restart from a previous epoch's fixpoint. Computes a provable
-/// per-node damage bound D (the fixpoint of a ceil-rounded system
-/// seeded by the deleted edges, out-degree increases, and node-count
-/// growth), starts from max(0, prev_rank - D) — a guaranteed lower
-/// bound of the new fixpoint — and join-ascends x = max(x, F(x)), which
-/// by Knaster–Tarski terminates at exactly the least fixpoint
-/// PageRankFixpointCold(csr) returns.
+/// with S = kPageRankScale and dangling(x) the rank held by nodes
+/// without out-edges (parallel edges and self-loops count per edge).
 ///
-/// `prev` / `prev_rank` are the previous epoch's graph and fixpoint;
-/// `deleted_edges` lists the (from, to) pairs of edges present in
-/// `prev` but not in `csr`, one entry per deleted edge instance
-/// (parallel edges each count). If the damage fixpoint fails to
-/// converge within its round cap the call falls back to the cold sweep
-/// (result.warm = false).
-PageRankFixpoint PageRankFixpointWarm(
-    const CsrSnapshot& prev, const std::vector<int64_t>& prev_rank,
-    const CsrSnapshot& csr,
-    const std::vector<std::pair<NodeId, NodeId>>& deleted_edges,
-    const ParallelOptions& par = {});
+/// Solver: an in-place Gauss–Seidel ascent on one thread. Nodes are
+/// visited in the reverse postorder of a DFS over out-edges (roots in
+/// ascending id); each visit sets x[v] := max(x[v], F(x)[v]) with the
+/// current x, and passes repeat until one changes nothing. The
+/// per-source terms and the dangling sum are kept up to date as x
+/// rises, so a visit costs one add per in-edge.
+///
+/// Why this is the least fixpoint, bit for bit: F is monotone and x
+/// starts at 0, so every update keeps x <= lfp(F). A pass without a
+/// change means F(x) <= x, and by Knaster–Tarski lfp(F) <= x. Hence
+/// x = lfp(F) for any visit order, the same value a Jacobi (Kleene)
+/// iteration from 0 reaches.
+PageRankFixpoint PageRankLeastFixpoint(const CsrSnapshot& csr);
 
 /// Hub and authority scores (Kleinberg's HITS), L2-normalized.
 /// `snapshot` as in PageRankOptions.

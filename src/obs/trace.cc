@@ -7,8 +7,8 @@ namespace obs {
 
 #if defined(KGQ_OBS_ENABLED)
 namespace internal {
-thread_local ObsSink* tl_sink = nullptr;
-thread_local TraceContext* tl_trace = nullptr;
+thread_local constinit ObsSink* tl_sink = nullptr;
+thread_local constinit TraceContext* tl_trace = nullptr;
 }  // namespace internal
 #endif
 

@@ -123,9 +123,12 @@ class TraceContext : public ObsSink {
 namespace internal {
 /// The installing thread's current sink/trace. Two variables so that
 /// CurrentTrace() needs no downcast: ScopedTrace sets both, ScopedSink
-/// (a non-trace sink) sets only the sink.
-extern thread_local ObsSink* tl_sink;
-extern thread_local TraceContext* tl_trace;
+/// (a non-trace sink) sets only the sink. `constinit` tells every
+/// including translation unit that the variables need no dynamic
+/// initialization, so they are read directly instead of through a TLS
+/// init wrapper (which gcc's UBSan reports as a null load).
+extern thread_local constinit ObsSink* tl_sink;
+extern thread_local constinit TraceContext* tl_trace;
 }  // namespace internal
 
 /// The calling thread's installed sink (nullptr when none).

@@ -132,32 +132,16 @@ std::shared_ptr<const ComponentAssignment> ViewCache::Components(
 std::shared_ptr<const std::vector<int64_t>> ViewCache::PageRank(
     const EpochPtr& snap) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pagerank_.snap != nullptr && pagerank_.snap->epoch == snap->epoch) {
+  if (pagerank_.snap != nullptr &&
+      (pagerank_.snap->epoch == snap->epoch ||
+       (CanAdvance(pagerank_.snap, snap) && DeltaIsEmpty(snap->delta)))) {
     KGQ_COUNTER_INC("serve.view.hit");
+    pagerank_.snap = snap;
     return pagerank_.value;
   }
-  std::shared_ptr<const std::vector<int64_t>> value;
-  if (CanAdvance(pagerank_.snap, snap)) {
-    if (DeltaIsEmpty(snap->delta)) {
-      KGQ_COUNTER_INC("serve.view.hit");
-      value = pagerank_.value;
-    } else {
-      std::vector<std::pair<NodeId, NodeId>> deleted;
-      deleted.reserve(snap->delta.deleted.size());
-      for (const CsrSnapshot::EdgeRecord& e : snap->delta.deleted) {
-        deleted.emplace_back(e.from, e.to);
-      }
-      PageRankFixpoint fp =
-          PageRankFixpointWarm(*pagerank_.snap->csr, *pagerank_.value,
-                               *snap->csr, deleted, parallel_);
-      KGQ_COUNTER_INC(fp.warm ? "serve.view.advance" : "serve.view.fallback");
-      value = std::make_shared<std::vector<int64_t>>(std::move(fp.rank));
-    }
-  } else {
-    KGQ_COUNTER_INC("serve.view.rebuild");
-    PageRankFixpoint fp = PageRankFixpointCold(*snap->csr, parallel_);
-    value = std::make_shared<std::vector<int64_t>>(std::move(fp.rank));
-  }
+  KGQ_COUNTER_INC("serve.view.rebuild");
+  auto value = std::make_shared<const std::vector<int64_t>>(
+      PageRankLeastFixpoint(*snap->csr).rank);
   pagerank_ = PageRankEntry{snap, value};
   return value;
 }

@@ -20,19 +20,25 @@ namespace serve {
 /// Per-epoch materialized analytics views with delta-based maintenance.
 ///
 /// Each view is computed lazily on first request against an epoch and
-/// cached together with the EpochPtr it was computed at. When a request
-/// arrives for a *newer* epoch whose EpochDelta is based on the cached
-/// epoch, the view is advanced from its previous value instead of
-/// recomputed:
+/// cached together with the EpochPtr it was computed at. A request for
+/// a *newer* epoch whose EpochDelta is empty and based on the cached
+/// epoch reuses the value. Components and reachability also advance
+/// from their previous value across a non-empty delta:
 ///
 ///   * components — union-find over the inserted edges seeded with the
 ///     previous assignment, then a canonical relabel (discovery order ==
 ///     ascending minimum node id). Any deleted edge forces a full
 ///     recompute (WeaklyConnectedComponentsCsr) — counted as fallback.
-///   * pagerank — integer fixed-point PageRank warm-restarted from the
-///     previous epoch's vector via the provable damage bound
-///     (PageRankFixpointWarm); handles deletes without fallback. The
-///     kernel histograms pagerank.warm_iterations per epoch.
+///   * pagerank — integer fixed-point PageRank, recomputed for every
+///     non-empty delta (counted as rebuild).
+///     PageRankLeastFixpoint is an in-place Gauss–Seidel ascent in DFS
+///     reverse postorder: every update keeps x below the least
+///     fixpoint, and a pass that changes nothing proves F(x) <= x, so
+///     by Knaster–Tarski it stops at exactly the least fixpoint. It
+///     needs far fewer full-graph passes than a Jacobi sweep, and fewer
+///     than a warm restart, whose damage bound the dangling term
+///     spreads to every node. Single-threaded: the server's query
+///     workers keep the cores.
 ///   * reachability — per-label positive-length transitive closure
 ///     R = A⁺ as a BoolCsr keyed by label *spelling* (dense label ids
 ///     shift across epochs). Labels untouched by the delta carry their
@@ -47,7 +53,7 @@ namespace serve {
 /// obs: counters serve.view.hit (value already current, including
 /// untouched-label carries), serve.view.advance (delta-maintained),
 /// serve.view.rebuild (computed from scratch), serve.view.fallback
-/// (delete-forced or cap-forced recompute).
+/// (delete-forced recompute).
 ///
 /// Thread-safe; one mutex serializes view maintenance (requests for a
 /// current value still pay only a map lookup + shared_ptr copy).
@@ -63,7 +69,7 @@ class ViewCache {
   std::shared_ptr<const ComponentAssignment> Components(const EpochPtr& snap);
 
   /// Integer fixed-point PageRank (kPageRankScale units); the canonical
-  /// least-fixpoint value of the epoch's graph.
+  /// least-fixpoint value of the epoch's graph (PageRankLeastFixpoint).
   std::shared_ptr<const std::vector<int64_t>> PageRank(const EpochPtr& snap);
 
   /// Positive-length reachability closure R = A⁺ of `label`'s adjacency

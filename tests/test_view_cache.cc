@@ -1,11 +1,11 @@
 // Differential suite for the materialized-view cache (serve/view_cache):
 // across 32 seeds of randomized insert/delete/publish histories, every
 // view served from the cache — components maintained by union-find,
-// PageRank warm-restarted from the previous epoch, per-label reachability
+// PageRank recomputed by the Gauss–Seidel solver, per-label reachability
 // advanced by delta-SpGEMM — must be bit-identical to a from-scratch
 // computation at the same epoch, at 1 and at 4 maintenance threads. The
 // references deliberately take independent code paths: Multigraph BFS for
-// components, the cold Kleene fixpoint for PageRank, an unmasked
+// components, the Jacobi Kleene oracle for PageRank, an unmasked
 // SpGEMM/union loop for closures.
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "analytics/components.h"
 #include "analytics/pagerank.h"
+#include "oracles/pagerank_jacobi.h"
 #include "pathalg/matrix_rpq.h"
 #include "serve/delta_store.h"
 #include "serve/view_cache.h"
@@ -103,10 +104,10 @@ void RunDifferential(size_t num_threads) {
       ASSERT_EQ(comp->component, want_graph.component)
           << "seed " << seed << " round " << round;
 
-      // PageRank: the maintained vector is the canonical least fixpoint.
+      // PageRank: the served vector is the canonical least fixpoint.
       auto rank = views.PageRank(snap);
-      PageRankFixpoint cold = PageRankFixpointCold(*snap->csr);
-      ASSERT_EQ(*rank, cold.rank) << "seed " << seed << " round " << round;
+      ASSERT_EQ(*rank, JacobiPageRankFixpoint(*snap->csr).rank)
+          << "seed " << seed << " round " << round;
 
       // Reachability: every label (plus one the graph never uses).
       for (const std::string& label : kLabels) {
@@ -166,9 +167,8 @@ TEST(ViewCache, UntouchedLabelClosureIsShared) {
               RefClosure(*two->csr, "churn"));
 }
 
-TEST(ViewCache, WarmPageRankHandlesDeletes) {
-  // A delete-heavy transition: warm restart must still land on the
-  // exact cold fixpoint (the damage bound covers deletions natively).
+TEST(ViewCache, PageRankHandlesDeletes) {
+  // A delete-heavy transition lands on the oracle's fixpoint.
   DeltaStore store;
   ViewCache views;
   const size_t n = 30;
@@ -181,7 +181,7 @@ TEST(ViewCache, WarmPageRankHandlesDeletes) {
     if (store.InsertEdge(e.from, e.to, e.label).value()) live.push_back(e);
   }
   EpochPtr one = store.Publish();
-  (void)views.PageRank(one);
+  ASSERT_EQ(*views.PageRank(one), JacobiPageRankFixpoint(*one->csr).rank);
 
   for (int i = 0; i < 25 && !live.empty(); ++i) {
     ASSERT_TRUE(store
@@ -191,8 +191,42 @@ TEST(ViewCache, WarmPageRankHandlesDeletes) {
     live.pop_back();
   }
   EpochPtr two = store.Publish();
-  auto warm = views.PageRank(two);
-  ASSERT_EQ(*warm, PageRankFixpointCold(*two->csr).rank);
+  ASSERT_EQ(*views.PageRank(two), JacobiPageRankFixpoint(*two->csr).rank);
+}
+
+TEST(ViewCache, PageRankFollowsNodeGrowthAndDanglingChanges) {
+  // Epoch by epoch: new dangling nodes, dangling nodes gaining their
+  // first out-edge, and nodes losing their last one again.
+  DeltaStore store;
+  ViewCache views;
+  for (int i = 0; i < 3; ++i) store.AddNode("n");
+  ASSERT_TRUE(store.InsertEdge(0, 1, "e").value());
+  std::vector<EpochPtr> epochs = {store.Publish()};
+
+  store.AddNode("n");  // 3: dangling
+  store.AddNode("n");  // 4: dangling
+  epochs.push_back(store.Publish());
+
+  ASSERT_TRUE(store.InsertEdge(1, 2, "e").value());  // 1 stops dangling
+  ASSERT_TRUE(store.InsertEdge(3, 3, "e").value());  // 3: self-loop
+  ASSERT_TRUE(store.InsertEdge(2, 4, "e").value());  // 2 stops dangling
+  epochs.push_back(store.Publish());
+
+  store.AddNode("n");  // 5: dangling
+  ASSERT_TRUE(store.InsertEdge(4, 0, "e").value());
+  ASSERT_TRUE(store.DeleteEdge(1, 2, "e").value());  // 1 dangles again
+  epochs.push_back(store.Publish());
+
+  ASSERT_TRUE(store.DeleteEdge(3, 3, "e").value());  // 3 dangles again
+  ASSERT_TRUE(store.InsertEdge(5, 1, "e").value());  // 5 stops dangling
+  epochs.push_back(store.Publish());
+
+  for (const EpochPtr& snap : epochs) {
+    auto rank = views.PageRank(snap);
+    ASSERT_EQ(rank->size(), snap->num_nodes()) << "epoch " << snap->epoch;
+    ASSERT_EQ(*rank, JacobiPageRankFixpoint(*snap->csr).rank)
+        << "epoch " << snap->epoch;
+  }
 }
 
 }  // namespace
