@@ -111,9 +111,9 @@ int main() {
     for (const Query& q : w.queries) {
       const std::string& query = q.text;
       RegexPtr regex = *ParseRegex(query);
-      Result<PathNfa> nfa =
-          PathNfa::Compile(view, *regex, PathNfa::Construction::kGlushkov);
-      if (!nfa.ok() || !nfa->AttachSnapshot(&snap).ok()) {
+      Result<PathNfa> nfa = PathNfa::Compile(
+          view, *regex, PathNfa::Construction::kGlushkov, &snap);
+      if (!nfa.ok()) {
         std::fprintf(stderr, "FAIL: could not compile %s\n", query.c_str());
         return 1;
       }

@@ -199,8 +199,9 @@ int main() {
     LabeledGraphView view(dblp);
     CsrSnapshot snap = CsrSnapshot::FromGraph(dblp);
     RegexPtr regex = *ParseRegex("(cites/cites*)/(cites^-/(cites^-)*)");
-    Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
-    if (!nfa.ok() || !nfa->AttachSnapshot(&snap).ok()) {
+    Result<PathNfa> nfa = PathNfa::Compile(
+        view, *regex, PathNfa::Construction::kGlushkov, &snap);
+    if (!nfa.ok()) {
       std::fprintf(stderr, "FAIL: could not compile over-approximation\n");
       return 1;
     }

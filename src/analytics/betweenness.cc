@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/traversal.h"
 #include "obs/obs.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
@@ -17,10 +16,9 @@ namespace kgq {
 namespace {
 
 /// One Brandes source iteration: accumulates dependencies of `s` into
-/// `bc` with the given weight. The traversal backend (list reference or
-/// CSR snapshot) enumerates neighbors in the same order either way, so
-/// the accumulation is bit-identical across backends.
-void BrandesFromSource(const Traversal& g, EdgeDirection dir, NodeId s,
+/// `bc` with the given weight. Neighbors come in ascending edge id, so
+/// the accumulation order depends on the graph alone.
+void BrandesFromSource(const CsrSnapshot& g, EdgeDirection dir, NodeId s,
                        double weight, std::vector<double>* bc) {
   size_t n = g.num_nodes();
   std::vector<uint32_t> dist(n, kUnreachable);
@@ -47,9 +45,9 @@ void BrandesFromSource(const Traversal& g, EdgeDirection dir, NodeId s,
         preds[w].push_back(v);
       }
     };
-    g.ForEachOut(v, [&](EdgeId, NodeId w) { visit(w); });
+    for (const CsrSnapshot::Entry& e : g.Out(v)) visit(e.neighbor);
     if (dir == EdgeDirection::kUndirected) {
-      g.ForEachIn(v, [&](EdgeId, NodeId w) { visit(w); });
+      for (const CsrSnapshot::Entry& e : g.In(v)) visit(e.neighbor);
     }
   }
   for (size_t i = order.size(); i-- > 0;) {
@@ -84,10 +82,9 @@ std::vector<double> AddInto(std::vector<double> a,
 std::vector<double> ApproxBetweennessCentrality(const Multigraph& g,
                                                 EdgeDirection dir,
                                                 size_t num_pivots, Rng* rng,
-                                                const ParallelOptions& par,
-                                                const CsrSnapshot* snapshot) {
+                                                const ParallelOptions& par) {
   KGQ_SPAN("analytics.brandes_approx");
-  Traversal trav(g, snapshot);
+  const CsrSnapshot& csr = g.Csr();
   size_t n = g.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0 || num_pivots == 0) return bc;
@@ -107,7 +104,7 @@ std::vector<double> ApproxBetweennessCentrality(const Multigraph& g,
       [&](size_t lo, size_t hi) {
         std::vector<double> local(n, 0.0);
         for (size_t i = lo; i < hi; ++i) {
-          BrandesFromSource(trav, dir, pool[i], weight, &local);
+          BrandesFromSource(csr, dir, pool[i], weight, &local);
         }
         return local;
       },
@@ -116,10 +113,9 @@ std::vector<double> ApproxBetweennessCentrality(const Multigraph& g,
 
 std::vector<double> BetweennessCentrality(const Multigraph& g,
                                           EdgeDirection dir,
-                                          const ParallelOptions& par,
-                                          const CsrSnapshot* snapshot) {
+                                          const ParallelOptions& par) {
   KGQ_SPAN("analytics.brandes");
-  Traversal trav(g, snapshot);
+  const CsrSnapshot& csr = g.Csr();
   size_t n = g.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;
@@ -128,7 +124,7 @@ std::vector<double> BetweennessCentrality(const Multigraph& g,
       [&](size_t lo, size_t hi) {
         std::vector<double> local(n, 0.0);
         for (NodeId s = lo; s < hi; ++s) {
-          BrandesFromSource(trav, dir, s, /*weight=*/1.0, &local);
+          BrandesFromSource(csr, dir, s, /*weight=*/1.0, &local);
         }
         return local;
       },
@@ -139,10 +135,9 @@ Result<std::vector<double>> RegexBetweenness(const GraphView& view,
                                              const Regex& regex,
                                              const BcrOptions& opts) {
   KGQ_SPAN("analytics.bcr_exact");
-  KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view, regex));
-  if (opts.snapshot != nullptr) {
-    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(opts.snapshot));
-  }
+  KGQ_ASSIGN_OR_RETURN(
+      PathNfa nfa, PathNfa::Compile(view, regex,
+                                    PathNfa::Construction::kGlushkov));
   size_t n = view.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;
@@ -199,10 +194,9 @@ Result<std::vector<double>> RegexBetweennessApprox(const GraphView& view,
                                                    const BcrOptions& opts,
                                                    Rng* rng) {
   KGQ_SPAN("analytics.bcr_approx");
-  KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view, regex));
-  if (opts.snapshot != nullptr) {
-    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(opts.snapshot));
-  }
+  KGQ_ASSIGN_OR_RETURN(
+      PathNfa nfa, PathNfa::Compile(view, regex,
+                                    PathNfa::Construction::kGlushkov));
   size_t n = view.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;

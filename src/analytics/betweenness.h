@@ -23,24 +23,19 @@ namespace kgq {
 /// are merged in a fixed order, so the result is identical for every
 /// thread count.
 ///
-/// When `snapshot` (a CsrSnapshot of g) is given, the per-source BFS
-/// runs over its contiguous adjacency — same visit order, same
-/// floating-point schedule, bit-identical output, less pointer chasing.
-/// A snapshot whose topology does not match g is ignored.
+/// The per-source BFS runs over g's memoized CsrSnapshot (g.Csr()).
 std::vector<double> BetweennessCentrality(
-    const Multigraph& g, EdgeDirection dir, const ParallelOptions& par = {},
-    const CsrSnapshot* snapshot = nullptr);
+    const Multigraph& g, EdgeDirection dir, const ParallelOptions& par = {});
 
 /// Brandes-style pivot sampling: run the dependency accumulation from
 /// `num_pivots` random sources only and scale by n/num_pivots — the
 /// classic scalable approximation (Brandes–Pich). Converges to
 /// BetweennessCentrality as num_pivots → n. Pivots are drawn up front
 /// from `rng`, then processed source-parallel: a fixed seed reproduces
-/// bit-identically at any thread count. `snapshot` as in
-/// BetweennessCentrality.
+/// bit-identically at any thread count.
 std::vector<double> ApproxBetweennessCentrality(
     const Multigraph& g, EdgeDirection dir, size_t num_pivots, Rng* rng,
-    const ParallelOptions& par = {}, const CsrSnapshot* snapshot = nullptr);
+    const ParallelOptions& par = {});
 
 /// Knobs for the regex-constrained centrality computations.
 struct BcrOptions {
@@ -56,12 +51,6 @@ struct BcrOptions {
   /// bit-identical at every thread count; the approximate variant is
   /// bit-identical at every thread count for a fixed rng seed.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the queried graph, attached to the
-  /// compiled product automaton so every configuration BFS, enumeration
-  /// and FPRAS pass scans contiguous adjacency. Results are
-  /// bit-identical with or without it; a snapshot of a different
-  /// topology is an InvalidArgument.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// Regex-constrained betweenness centrality of Section 4.2:

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/traversal.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
 
@@ -15,7 +14,7 @@ std::vector<double> PageRank(const Multigraph& g,
                              const PageRankOptions& opts) {
   KGQ_SPAN("analytics.pagerank");
   KGQ_COUNTER_INC("analytics.pagerank.runs");
-  Traversal t(g, opts.snapshot);
+  const CsrSnapshot& csr = g.Csr();
   size_t n = g.num_nodes();
   if (n == 0) return {};
   const ParallelOptions& par = opts.parallel;
@@ -32,7 +31,7 @@ std::vector<double> PageRank(const Multigraph& g,
         [&](size_t lo, size_t hi) {
           double s = 0.0;
           for (NodeId v = lo; v < hi; ++v) {
-            if (t.OutDegree(v) == 0) s += rank[v];
+            if (csr.OutDegree(v) == 0) s += rank[v];
           }
           return s;
         },
@@ -47,10 +46,10 @@ std::vector<double> PageRank(const Multigraph& g,
         [&](size_t lo, size_t hi) {
           for (NodeId v = lo; v < hi; ++v) {
             double sum = base;
-            t.ForEachIn(v, [&](EdgeId, NodeId u) {
-              sum += opts.damping * rank[u] /
-                     static_cast<double>(t.OutDegree(u));
-            });
+            for (const CsrSnapshot::Entry& e : csr.In(v)) {
+              sum += opts.damping * rank[e.neighbor] /
+                     static_cast<double>(csr.OutDegree(e.neighbor));
+            }
             next[v] = sum;
           }
         },
@@ -152,9 +151,8 @@ PageRankFixpoint PageRankLeastFixpoint(const CsrSnapshot& csr) {
   return r;
 }
 
-HitsScores Hits(const Multigraph& g, size_t iterations,
-                const CsrSnapshot* snapshot) {
-  Traversal t(g, snapshot);
+HitsScores Hits(const Multigraph& g, size_t iterations) {
+  const CsrSnapshot& csr = g.Csr();
   size_t n = g.num_nodes();
   HitsScores out;
   out.hub.assign(n, 1.0);
@@ -173,14 +171,18 @@ HitsScores Hits(const Multigraph& g, size_t iterations,
     // authority(v) = Σ hub(u) over edges u→v.
     for (NodeId v = 0; v < n; ++v) {
       double score = 0.0;
-      t.ForEachIn(v, [&](EdgeId, NodeId u) { score += out.hub[u]; });
+      for (const CsrSnapshot::Entry& e : csr.In(v)) {
+        score += out.hub[e.neighbor];
+      }
       out.authority[v] = score;
     }
     normalize(out.authority);
     // hub(v) = Σ authority(w) over edges v→w.
     for (NodeId v = 0; v < n; ++v) {
       double score = 0.0;
-      t.ForEachOut(v, [&](EdgeId, NodeId w) { score += out.authority[w]; });
+      for (const CsrSnapshot::Entry& e : csr.Out(v)) {
+        score += out.authority[e.neighbor];
+      }
       out.hub[v] = score;
     }
     normalize(out.hub);

@@ -20,11 +20,6 @@ struct PageRankOptions {
   /// the L1 delta with a deterministic tree, so results are identical
   /// for every thread count.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the ranked graph: the pull loop then
-  /// gathers over the snapshot's contiguous in view instead of the
-  /// per-node edge lists. Same gather order, bit-identical scores; a
-  /// snapshot of a different topology is ignored.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// PageRank by power iteration with uniform teleport; dangling mass is
@@ -69,13 +64,11 @@ struct PageRankFixpoint {
 PageRankFixpoint PageRankLeastFixpoint(const CsrSnapshot& csr);
 
 /// Hub and authority scores (Kleinberg's HITS), L2-normalized.
-/// `snapshot` as in PageRankOptions.
 struct HitsScores {
   std::vector<double> hub;
   std::vector<double> authority;
 };
-HitsScores Hits(const Multigraph& g, size_t iterations = 50,
-                const CsrSnapshot* snapshot = nullptr);
+HitsScores Hits(const Multigraph& g, size_t iterations = 50);
 
 }  // namespace kgq
 

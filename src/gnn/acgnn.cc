@@ -14,24 +14,14 @@ namespace {
 /// node count, and each output row is owned by one chunk.
 constexpr size_t kNodeTile = 32;
 
-/// A relation name resolved against one adjacency backend, hoisted out
-/// of the node loop. `all` = "" (aggregate every edge); a named label
-/// absent from the graph/snapshot has `all == false && !id` and
-/// aggregates nothing (the weight still contributes its zero dot
-/// product, exactly like the unresolved-label path always has).
-struct ListRel {
-  bool all = false;
-  std::optional<ConstId> id;
-};
+/// A relation name resolved against the snapshot, hoisted out of the
+/// node loop. `all` = "" (aggregate every edge); a named label absent
+/// from the snapshot has `all == false && !id` and aggregates nothing
+/// (the weight still contributes its zero dot product).
 struct CsrRel {
   bool all = false;
   std::optional<LabelId> id;
 };
-
-ListRel ResolveList(const LabeledGraph& g, const std::string& rel) {
-  if (rel.empty()) return {true, std::nullopt};
-  return {false, g.dict().Find(rel)};
-}
 
 CsrRel ResolveCsr(const CsrSnapshot& snap, const std::string& rel) {
   if (rel.empty()) return {true, std::nullopt};
@@ -40,19 +30,6 @@ CsrRel ResolveCsr(const CsrSnapshot& snap, const std::string& rel) {
 
 /// Σ x_u over the relevant neighbors of v — ascending edge id, the
 /// canonical aggregation order shared with gnn/spmm.h.
-void AggregateList(const LabeledGraph& g, const Matrix& features, NodeId v,
-                   const ListRel& rel, bool incoming, double* acc) {
-  if (!rel.all && !rel.id.has_value()) return;
-  const std::vector<EdgeId>& edges =
-      incoming ? g.InEdges(v) : g.OutEdges(v);
-  for (EdgeId e : edges) {
-    if (rel.id.has_value() && g.EdgeLabel(e) != *rel.id) continue;
-    NodeId u = incoming ? g.EdgeSource(e) : g.EdgeTarget(e);
-    const double* row = features.row(u);
-    for (size_t c = 0; c < features.cols(); ++c) acc[c] += row[c];
-  }
-}
-
 void AggregateCsr(const CsrSnapshot& snap, const Matrix& features, NodeId v,
                   const CsrRel& rel, bool incoming, double* acc) {
   if (!rel.all && !rel.id.has_value()) return;
@@ -72,10 +49,9 @@ void AggregateCsr(const CsrSnapshot& snap, const Matrix& features, NodeId v,
 /// floating-point operation sequence (one ascending-k register dot per
 /// weight matrix, added in declaration order onto the bias; neighbor
 /// sums in ascending edge id), so the result is bit-identical across
-/// backend × adjacency × thread count.
-Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
-                const CsrSnapshot* snap, const Matrix& x,
-                const GnnOptions& opts) {
+/// backend × thread count.
+Matrix LayerPre(const GnnLayer& layer, const CsrSnapshot& snap,
+                const Matrix& x, const GnnOptions& opts) {
   const size_t n = x.rows();
   const size_t in_dim = layer.in_dim();
   const size_t out_dim = layer.out_dim();
@@ -89,11 +65,7 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
     auto relation_term = [&](const std::string& rel, const Matrix& weights,
                              bool incoming) {
       scratch.SetZero();
-      if (snap != nullptr) {
-        SpmmAggregateCsr(*snap, x, rel, incoming, &scratch, opts.parallel);
-      } else {
-        SpmmAggregateList(graph, x, rel, incoming, &scratch, opts.parallel);
-      }
+      SpmmAggregateCsr(snap, x, rel, incoming, &scratch, opts.parallel);
       GemmTransB(scratch, weights, &pre, opts.parallel);
     };
     for (const auto& [rel, weights] : layer.in_rel) {
@@ -106,22 +78,12 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
   }
 
   // kNodeLoop: the per-node reference shape, tiled across threads.
-  std::vector<ListRel> list_in, list_out;
   std::vector<CsrRel> csr_in, csr_out;
-  if (snap != nullptr) {
-    for (const auto& [rel, w] : layer.in_rel) {
-      csr_in.push_back(ResolveCsr(*snap, rel));
-    }
-    for (const auto& [rel, w] : layer.out_rel) {
-      csr_out.push_back(ResolveCsr(*snap, rel));
-    }
-  } else {
-    for (const auto& [rel, w] : layer.in_rel) {
-      list_in.push_back(ResolveList(graph, rel));
-    }
-    for (const auto& [rel, w] : layer.out_rel) {
-      list_out.push_back(ResolveList(graph, rel));
-    }
+  for (const auto& [rel, w] : layer.in_rel) {
+    csr_in.push_back(ResolveCsr(snap, rel));
+  }
+  for (const auto& [rel, w] : layer.out_rel) {
+    csr_out.push_back(ResolveCsr(snap, rel));
   }
   ParallelFor(
       0, n, kNodeTile,
@@ -133,24 +95,14 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
           layer.self.MultiplyAccumulate(x.row(v), out);
           for (size_t r = 0; r < layer.in_rel.size(); ++r) {
             agg.assign(in_dim, 0.0);
-            if (snap != nullptr) {
-              AggregateCsr(*snap, x, v, csr_in[r], /*incoming=*/true,
-                           agg.data());
-            } else {
-              AggregateList(graph, x, v, list_in[r], /*incoming=*/true,
-                            agg.data());
-            }
+            AggregateCsr(snap, x, v, csr_in[r], /*incoming=*/true,
+                         agg.data());
             layer.in_rel[r].second.MultiplyAccumulate(agg.data(), out);
           }
           for (size_t r = 0; r < layer.out_rel.size(); ++r) {
             agg.assign(in_dim, 0.0);
-            if (snap != nullptr) {
-              AggregateCsr(*snap, x, v, csr_out[r], /*incoming=*/false,
-                           agg.data());
-            } else {
-              AggregateList(graph, x, v, list_out[r], /*incoming=*/false,
-                            agg.data());
-            }
+            AggregateCsr(snap, x, v, csr_out[r], /*incoming=*/false,
+                         agg.data());
             layer.out_rel[r].second.MultiplyAccumulate(agg.data(), out);
           }
         }
@@ -187,10 +139,10 @@ Result<Matrix> AcGnn::Run(const LabeledGraph& graph, const Matrix& features,
         std::to_string(features.cols()));
   }
   KGQ_SPAN("gnn.forward");
-  const CsrSnapshot* snap = EffectiveSnapshot(opts, graph.topology());
+  const CsrSnapshot& snap = graph.Csr();
   Matrix current = features;
   for (const GnnLayer& layer : layers_) {
-    Matrix pre = LayerPre(layer, graph, snap, current, opts);
+    Matrix pre = LayerPre(layer, snap, current, opts);
     TruncatedReluRows(&pre, opts.parallel);
     current = std::move(pre);
   }
@@ -210,12 +162,12 @@ Result<ForwardTrace> AcGnn::RunTraced(const LabeledGraph& graph,
         std::to_string(features.cols()));
   }
   KGQ_SPAN("gnn.forward");
-  const CsrSnapshot* snap = EffectiveSnapshot(opts, graph.topology());
+  const CsrSnapshot& snap = graph.Csr();
   ForwardTrace trace;
   trace.activations.push_back(features);
   trace.pre.reserve(layers_.size());
   for (const GnnLayer& layer : layers_) {
-    Matrix pre = LayerPre(layer, graph, snap, trace.activations.back(), opts);
+    Matrix pre = LayerPre(layer, snap, trace.activations.back(), opts);
     Matrix act = pre;
     TruncatedReluRows(&act, opts.parallel);
     trace.pre.push_back(std::move(pre));

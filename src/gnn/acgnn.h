@@ -47,9 +47,9 @@ struct ForwardTrace {
 /// (Barceló et al.): Classify() returns the set of nodes the network
 /// accepts, comparable 1:1 with EvalModal / EvalFoNaive.
 ///
-/// Execution is configurable through GnnOptions (dense backend,
-/// adjacency source, thread count); every configuration returns
-/// bit-identical features — the option can only change speed.
+/// Execution is configurable through GnnOptions (dense backend, thread
+/// count); every configuration returns bit-identical
+/// features — the option can only change speed.
 class AcGnn {
  public:
   /// Creates a network reading `input_dim` features per node.

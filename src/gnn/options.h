@@ -21,45 +21,23 @@ enum class GnnBackend {
 };
 
 /// Execution knobs shared by the neural kernels (AC-GNN forward,
-/// logic→GNN evaluation, WL refinement, GNN training forward passes) —
-/// the Traversal-style opt-in of the neural substrate:
+/// logic→GNN evaluation, WL refinement, GNN training forward passes):
 ///
-///   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
 ///   GnnOptions opts;
-///   opts.snapshot = &snap;              // aggregation over CSR arrays
+///   opts.backend = GnnBackend::kGemm;   // blocked GEMM + whole-matrix SpMM
 ///   opts.parallel.num_threads = 4;      // 1 = sequential reference
 ///   Matrix out = *gnn.Run(g, x, opts);  // bit-identical either way
 ///
-/// Backend and snapshot are orthogonal axes: `backend` picks the dense
-/// arithmetic (node loop vs blocked GEMM), `snapshot` picks the
-/// adjacency source of the neighbor aggregation (the mutable model's
-/// edge lists vs the immutable CSR arrays). All four combinations are
-/// bit-identical; the benches sweep node-loop / GEMM+list / GEMM+CSR.
+/// The neighbor aggregation reads the graph's memoized CsrSnapshot
+/// (LabeledGraph::Csr()). Every combination of backend and thread count
+/// is bit-identical.
 struct GnnOptions {
   GnnBackend backend = GnnBackend::kGemm;
 
   /// Thread count for the row-parallel phases; the usual contract
   /// (0 = hardware, 1 = calling thread only, any value bit-identical).
   ParallelOptions parallel;
-
-  /// Optional CSR adjacency for the aggregation phase. A snapshot of a
-  /// different topology is ignored (silent fallback to the edge lists,
-  /// like Traversal); must outlive the call.
-  const CsrSnapshot* snapshot = nullptr;
 };
-
-/// The snapshot a kernel should actually use: opts.snapshot when it
-/// describes exactly `topology`, nullptr otherwise (the Traversal
-/// idiom — a stale snapshot silently falls back to the edge lists
-/// instead of corrupting results).
-inline const CsrSnapshot* EffectiveSnapshot(const GnnOptions& opts,
-                                            const Multigraph& topology) {
-  if (opts.snapshot != nullptr &&
-      opts.snapshot->MatchesTopology(topology)) {
-    return opts.snapshot;
-  }
-  return nullptr;
-}
 
 }  // namespace kgq
 

@@ -15,17 +15,12 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 /// Row tile of the parallel backward phases (row-owned writes only).
 constexpr size_t kRowTile = 64;
 
-/// Neighbor sums of `features` for one relation at every node —
-/// SpMM over whichever adjacency backend the options selected.
-Matrix Aggregate(const LabeledGraph& g, const CsrSnapshot* snap,
-                 const Matrix& features, const std::string& rel,
-                 bool incoming, const ParallelOptions& par) {
+/// Neighbor sums of `features` for one relation at every node.
+Matrix Aggregate(const CsrSnapshot& snap, const Matrix& features,
+                 const std::string& rel, bool incoming,
+                 const ParallelOptions& par) {
   Matrix out(features.rows(), features.cols());
-  if (snap != nullptr) {
-    SpmmAggregateCsr(*snap, features, rel, incoming, &out, par);
-  } else {
-    SpmmAggregateList(g, features, rel, incoming, &out, par);
-  }
+  SpmmAggregateCsr(snap, features, rel, incoming, &out, par);
   return out;
 }
 
@@ -34,14 +29,10 @@ Matrix Aggregate(const LabeledGraph& g, const CsrSnapshot* snap,
 /// opposite direction (sender rows collect grad rows of their
 /// receivers in ascending edge id — the same per-row order the
 /// sequential edge scan produced).
-void ScatterGrad(const LabeledGraph& g, const CsrSnapshot* snap,
-                 const Matrix& grad, const std::string& rel, bool incoming,
-                 Matrix* out, const ParallelOptions& par) {
-  if (snap != nullptr) {
-    SpmmAggregateCsr(*snap, grad, rel, !incoming, out, par);
-  } else {
-    SpmmAggregateList(g, grad, rel, !incoming, out, par);
-  }
+void ScatterGrad(const CsrSnapshot& snap, const Matrix& grad,
+                 const std::string& rel, bool incoming, Matrix* out,
+                 const ParallelOptions& par) {
+  SpmmAggregateCsr(snap, grad, rel, !incoming, out, par);
 }
 
 /// One gradient-descent step over one example; returns the BCE loss.
@@ -52,10 +43,10 @@ void ScatterGrad(const LabeledGraph& g, const CsrSnapshot* snap,
 /// ascending node order — the step is bit-identical for every
 /// GnnOptions configuration.
 double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
-            const LabeledGraph& g, const CsrSnapshot* snap,
-            const Matrix& input, const Bitset& targets, double lr,
+            const LabeledGraph& g, const Matrix& input, const Bitset& targets, double lr,
             const GnnOptions& fwd) {
   ForwardTrace cache = std::move(gnn->RunTraced(g, input, fwd)).value();
+  const CsrSnapshot& snap = g.Csr();
   const ParallelOptions& par = fwd.parallel;
   const Matrix& out = cache.activations.back();
   size_t n = out.rows();
@@ -142,7 +133,7 @@ double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
                                      rels,
                                  bool incoming) {
       for (auto& [rel, weights] : rels) {
-        Matrix agg = Aggregate(g, snap, x, rel, incoming, par);
+        Matrix agg = Aggregate(snap, x, rel, incoming, par);
         // dagg = W^T dpre (per node), scattered to senders. Weights are
         // constant throughout this loop, so rows parallelize.
         Matrix dagg(x.rows(), in_dim);
@@ -160,7 +151,7 @@ double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
               }
             },
             par);
-        ScatterGrad(g, snap, dagg, rel, incoming, &dx, par);
+        ScatterGrad(snap, dagg, rel, incoming, &dx, par);
         for (NodeId v = 0; v < x.rows(); ++v) {
           const double* dp = dpre.row(v);
           const double* av = agg.row(v);
@@ -220,18 +211,15 @@ Result<AcGnn> TrainGnnClassifier(const std::vector<GnnExample>& examples,
   double readout_b = 0.0;
 
   std::vector<Matrix> inputs;
-  std::vector<const CsrSnapshot*> snaps;
   inputs.reserve(examples.size());
-  snaps.reserve(examples.size());
   for (const GnnExample& ex : examples) {
     inputs.push_back(AcGnn::OneHotLabels(*ex.graph, label_universe));
-    snaps.push_back(EffectiveSnapshot(opts.forward, ex.graph->topology()));
   }
 
   for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
     for (size_t i = 0; i < examples.size(); ++i) {
-      Step(&gnn, &readout_w, &readout_b, *examples[i].graph, snaps[i],
-           inputs[i], examples[i].targets, opts.learning_rate, opts.forward);
+      Step(&gnn, &readout_w, &readout_b, *examples[i].graph, inputs[i],
+           examples[i].targets, opts.learning_rate, opts.forward);
     }
   }
 

@@ -19,10 +19,7 @@ constexpr size_t kNodeTile = 64;
 WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
   KGQ_SPAN("gnn.wl");
   size_t n = graph.num_nodes();
-  const CsrSnapshot* snap = opts.snapshot;
-  if (snap != nullptr && !snap->MatchesTopology(graph.topology())) {
-    snap = nullptr;
-  }
+  const CsrSnapshot& snap = graph.Csr();
   WlResult out;
   out.colors.assign(n, 0);
 
@@ -37,12 +34,10 @@ WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
     out.num_colors = static_cast<uint32_t>(remap.size());
   }
 
-  // Signature: (own color, sorted multiset of (edge label, dir, color)).
-  // The label key is the graph's ConstId on the list path and the
-  // snapshot's dense LabelId on the CSR path; both are injective
-  // relabelings of the same labels, so the multiset *partition* — hence
-  // every color id, which is first-appearance order over ascending v —
-  // is identical either way.
+  // Signature: (own color, sorted multiset of (edge label, dir, color)),
+  // keyed by the snapshot's dense LabelId — an injective relabeling of
+  // the edge labels, so the multiset *partition* (hence every color id,
+  // first-appearance order over ascending v) does not depend on it.
   using Neighbor = std::tuple<uint64_t, int, uint32_t>;
   using Signature = std::pair<uint32_t, std::vector<Neighbor>>;
 
@@ -57,22 +52,11 @@ WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
             Signature& sig = sigs[v];
             sig.first = out.colors[v];
             sig.second.clear();
-            if (snap != nullptr) {
-              for (const CsrSnapshot::Entry& a : snap->Out(v)) {
-                sig.second.emplace_back(a.label, 0, out.colors[a.neighbor]);
-              }
-              for (const CsrSnapshot::Entry& a : snap->In(v)) {
-                sig.second.emplace_back(a.label, 1, out.colors[a.neighbor]);
-              }
-            } else {
-              for (EdgeId e : graph.OutEdges(v)) {
-                sig.second.emplace_back(graph.EdgeLabel(e), 0,
-                                        out.colors[graph.EdgeTarget(e)]);
-              }
-              for (EdgeId e : graph.InEdges(v)) {
-                sig.second.emplace_back(graph.EdgeLabel(e), 1,
-                                        out.colors[graph.EdgeSource(e)]);
-              }
+            for (const CsrSnapshot::Entry& a : snap.Out(v)) {
+              sig.second.emplace_back(a.label, 0, out.colors[a.neighbor]);
+            }
+            for (const CsrSnapshot::Entry& a : snap.In(v)) {
+              sig.second.emplace_back(a.label, 1, out.colors[a.neighbor]);
             }
             std::sort(sig.second.begin(), sig.second.end());
           }

@@ -25,11 +25,6 @@ struct WlOptions {
   /// Thread count for the per-round signature build (the interning pass
   /// stays sequential — color ids are first-appearance order).
   ParallelOptions parallel;
-
-  /// Optional CSR adjacency; neighbor signatures then read the packed
-  /// entry arrays instead of chasing edge-id lists. A snapshot of a
-  /// different topology is ignored; must outlive the call.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// 1-WL color refinement on a labeled graph (Section 4.3): the initial

@@ -22,12 +22,12 @@ using LabelId = uint32_t;
 /// Sentinel: "no such label in this snapshot".
 inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 
-/// An immutable, cache-friendly view of a graph's adjacency — the
-/// traversal substrate of the hot kernels.
+/// An immutable, cache-friendly view of a graph's adjacency — the one
+/// adjacency every path, plan, analytics and GNN kernel reads.
 ///
 /// The mutable models (Multigraph and the labeled/property/vector
 /// graphs on top of it) store one heap-allocated edge-id vector per
-/// node; every traversal chases two pointers per step. A snapshot packs
+/// node, which is what makes them cheap to append to. A snapshot packs
 /// the same information into four contiguous arrays:
 ///
 ///   * out view: entries sorted by (source, edge id) + node offsets,
@@ -42,11 +42,12 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 ///
 /// Ordering contract: `Out(n)` and `In(n)` enumerate edges in ascending
 /// edge id — exactly the insertion order of `Multigraph::OutEdges` /
-/// `InEdges`. Kernels that branch between the list-based reference and
-/// a snapshot therefore see the *same step sequence* either way, which
-/// is what makes CSR-backed results bit-identical (including the
-/// rng-stream-sensitive FPRAS); `tests/test_csr_equivalence.cc`
-/// enforces this.
+/// `InEdges`. Every kernel's visit order, and with it every
+/// floating-point accumulation and rng-stream draw (the FPRAS), is
+/// therefore a function of the graph alone: a snapshot passed in by
+/// the caller and the model's own memoized one (`Csr()` on every model)
+/// give bit-identical results; `tests/test_csr_equivalence.cc` checks
+/// the kernels against the semantic oracles.
 ///
 /// A snapshot does not own or observe its source graph afterwards: it
 /// copies everything it needs (including label spellings), so the

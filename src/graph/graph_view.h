@@ -30,6 +30,15 @@ class GraphView {
   /// The underlying multigraph (N, E, ρ).
   virtual const Multigraph& topology() const = 0;
 
+  /// The model's memoized CsrSnapshot (built on first use): the
+  /// adjacency the kernels read when the caller passes none. Its edge
+  /// labels are the view's label atoms: for every edge e and spelling l
+  /// with ResolveLabel(l) = id, EdgeHasLabel(e, id) holds iff
+  /// Csr().EdgeLabel(e) == Csr().FindLabel(l). The one exception is a
+  /// vector graph's ⊥ (no value) in feature row 0, which the snapshot
+  /// spells "⊥" and no label atom matches.
+  virtual const CsrSnapshot& Csr() const = 0;
+
   /// Label atoms in two steps, so that code testing one label against
   /// many nodes or edges looks the spelling up once: ResolveLabel finds
   /// `label` in the view's dictionary (nullopt: nothing can carry it),
@@ -69,6 +78,7 @@ class LabeledGraphView final : public GraphView {
   explicit LabeledGraphView(const LabeledGraph& graph) : graph_(graph) {}
 
   const Multigraph& topology() const override { return graph_.topology(); }
+  const CsrSnapshot& Csr() const override { return graph_.Csr(); }
   std::optional<ConstId> ResolveLabel(std::string_view label) const override;
   bool NodeHasLabel(NodeId n, ConstId label) const override;
   bool EdgeHasLabel(EdgeId e, ConstId label) const override;
@@ -88,6 +98,7 @@ class PropertyGraphView final : public GraphView {
   const Multigraph& topology() const override {
     return graph_.labeled().topology();
   }
+  const CsrSnapshot& Csr() const override { return graph_.Csr(); }
   std::optional<ConstId> ResolveLabel(std::string_view label) const override;
   bool NodeHasLabel(NodeId n, ConstId label) const override;
   bool EdgeHasLabel(EdgeId e, ConstId label) const override;
@@ -111,6 +122,7 @@ class VectorGraphView final : public GraphView {
   explicit VectorGraphView(const VectorGraph& graph) : graph_(graph) {}
 
   const Multigraph& topology() const override { return graph_.topology(); }
+  const CsrSnapshot& Csr() const override { return graph_.Csr(); }
   std::optional<ConstId> ResolveLabel(std::string_view label) const override;
   bool NodeHasLabel(NodeId n, ConstId label) const override;
   bool EdgeHasLabel(EdgeId e, ConstId label) const override;

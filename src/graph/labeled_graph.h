@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "graph/csr_memo.h"
 #include "graph/multigraph.h"
 #include "util/interner.h"
 #include "util/result.h"
@@ -56,6 +57,10 @@ class LabeledGraph {
   /// The underlying multigraph (N, E, ρ).
   const Multigraph& topology() const { return graph_; }
 
+  /// The memoized labeled snapshot (CsrSnapshot::FromGraph), built on
+  /// first use; an edit makes the next call rebuild it.
+  const CsrSnapshot& Csr() const;
+
   /// The constant dictionary of this graph.
   Interner& dict() { return dict_; }
   const Interner& dict() const { return dict_; }
@@ -65,6 +70,7 @@ class LabeledGraph {
   Interner dict_;
   std::vector<ConstId> node_labels_;
   std::vector<ConstId> edge_labels_;
+  CsrMemo csr_;
 };
 
 }  // namespace kgq

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr_memo.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -26,6 +27,10 @@ inline constexpr EdgeId kNoEdge = 0xFFFFFFFFu;
 /// Nodes and edges are identified by dense indexes, so per-node and
 /// per-edge annotations (labels, properties, feature vectors) are plain
 /// arrays in the model classes layered on top.
+///
+/// The path, plan, GNN and centrality kernels do not traverse the
+/// per-node lists below: they read a CsrSnapshot (Csr()), built once on
+/// first use.
 class Multigraph {
  public:
   Multigraph() = default;
@@ -65,11 +70,16 @@ class Multigraph {
   size_t OutDegree(NodeId n) const { return out_edges_[n].size(); }
   size_t InDegree(NodeId n) const { return in_edges_[n].size(); }
 
+  /// The memoized topology-only snapshot (CsrSnapshot::FromTopology),
+  /// built on first use; an edit makes the next call rebuild it.
+  const CsrSnapshot& Csr() const;
+
  private:
   std::vector<NodeId> sources_;
   std::vector<NodeId> targets_;
   std::vector<std::vector<EdgeId>> out_edges_;
   std::vector<std::vector<EdgeId>> in_edges_;
+  CsrMemo csr_;
 };
 
 }  // namespace kgq

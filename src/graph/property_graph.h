@@ -99,6 +99,10 @@ class PropertyGraph {
   /// The labeled graph (N, E, ρ, λ) underlying this property graph.
   const LabeledGraph& labeled() const { return base_; }
 
+  /// The labeled graph's memoized snapshot: properties are not part of
+  /// the adjacency.
+  const CsrSnapshot& Csr() const { return base_.Csr(); }
+
   Interner& dict() { return base_.dict(); }
   const Interner& dict() const { return base_.dict(); }
 

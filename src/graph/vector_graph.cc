@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "graph/csr_snapshot.h"
+
 namespace kgq {
 
 VectorGraph::VectorGraph(size_t dimension) : dimension_(dimension) {
@@ -15,6 +17,7 @@ Result<NodeId> VectorGraph::AddNode(std::vector<ConstId> features) {
         std::to_string(features.size()) + ", expected " +
         std::to_string(dimension_));
   }
+  csr_.Reset();
   NodeId id = graph_.AddNode();
   node_features_.insert(node_features_.end(), features.begin(),
                         features.end());
@@ -39,6 +42,7 @@ Result<EdgeId> VectorGraph::AddEdge(NodeId from, NodeId to,
         std::to_string(features.size()) + ", expected " +
         std::to_string(dimension_));
   }
+  csr_.Reset();
   KGQ_ASSIGN_OR_RETURN(EdgeId id, graph_.AddEdge(from, to));
   edge_features_.insert(edge_features_.end(), features.begin(),
                         features.end());
@@ -53,6 +57,10 @@ Result<EdgeId> VectorGraph::AddEdgeFromStrings(
     ids.push_back(f.empty() ? kNullConst : dict_.Intern(f));
   }
   return AddEdge(from, to, std::move(ids));
+}
+
+const CsrSnapshot& VectorGraph::Csr() const {
+  return csr_.Get([this] { return CsrSnapshot::FromGraph(*this); });
 }
 
 }  // namespace kgq

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "graph/csr_memo.h"
 #include "graph/multigraph.h"
 #include "util/interner.h"
 #include "util/result.h"
@@ -76,6 +77,11 @@ class VectorGraph {
 
   const Multigraph& topology() const { return graph_; }
 
+  /// The memoized snapshot (CsrSnapshot::FromGraph: feature row 0 is
+  /// the edge label), built on first use; an edit makes the next call
+  /// rebuild it.
+  const CsrSnapshot& Csr() const;
+
   Interner& dict() { return dict_; }
   const Interner& dict() const { return dict_; }
 
@@ -85,6 +91,7 @@ class VectorGraph {
   Interner dict_;
   std::vector<ConstId> node_features_;  // flattened n × d
   std::vector<ConstId> edge_features_;  // flattened m × d
+  CsrMemo csr_;
 };
 
 }  // namespace kgq

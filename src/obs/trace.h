@@ -47,8 +47,11 @@ namespace obs {
 /// field, so gates can normalize it and byte-compare the rest.
 struct ProfileNode {
   std::string kind;    ///< LogicalKindName of the operator.
-  std::string engine;  ///< Physical engine ("csr"/"list", "matrix"/"nfa");
-                       ///< empty when the operator has no engine choice.
+  std::string engine;  ///< Physical engine: "csr" (EdgeScan), "nfa" /
+                       ///< "matrix" / "cfpq-*" (PathAtom), with "-bound"
+                       ///< appended when the leaf ran from offered
+                       ///< nodes; empty when the
+                       ///< operator has no engine choice.
   uint64_t rows_in = 0;   ///< Sum of the children's rows_out (0 for leaves).
   uint64_t rows_out = 0;  ///< Rows this operator produced.
   uint64_t time_ns = 0;   ///< Wall time, children included.

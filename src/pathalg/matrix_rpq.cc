@@ -265,14 +265,10 @@ inline size_t OrWords(uint64_t* dst, const uint64_t* src, size_t words) {
 
 }  // namespace
 
-Result<std::vector<Bitset>> MatrixReachFromAll(const PathNfa& nfa,
-                                               const std::vector<NodeId>& sources,
-                                               const PathQueryOptions& opts) {
-  const CsrSnapshot* csr = nfa.snapshot();
-  if (csr == nullptr) {
-    return Status::InvalidArgument(
-        "the matrix RPQ engine requires an attached CsrSnapshot");
-  }
+std::vector<Bitset> MatrixReachFromAll(const PathNfa& nfa,
+                                       const std::vector<NodeId>& sources,
+                                       const PathQueryOptions& opts) {
+  const CsrSnapshot* csr = &nfa.snapshot();
   KGQ_SPAN("matrix_rpq.eval");
   const size_t num_nodes = nfa.num_nodes();
   const size_t num_q = nfa.num_states();
@@ -464,15 +460,13 @@ Result<std::vector<Bitset>> MatrixReachFromAll(const PathNfa& nfa,
   return out;
 }
 
-Result<Bitset> MatrixReachableFrom(const PathNfa& nfa, NodeId start,
-                                   const PathQueryOptions& opts) {
-  KGQ_ASSIGN_OR_RETURN(std::vector<Bitset> rows,
-                       MatrixReachFromAll(nfa, {start}, opts));
-  return std::move(rows[0]);
+Bitset MatrixReachableFrom(const PathNfa& nfa, NodeId start,
+                           const PathQueryOptions& opts) {
+  return std::move(MatrixReachFromAll(nfa, {start}, opts)[0]);
 }
 
-Result<std::vector<Bitset>> MatrixAllPairs(const PathNfa& nfa,
-                                           const PathQueryOptions& opts) {
+std::vector<Bitset> MatrixAllPairs(const PathNfa& nfa,
+                                   const PathQueryOptions& opts) {
   std::vector<NodeId> sources(nfa.num_nodes());
   for (NodeId n = 0; n < sources.size(); ++n) sources[n] = n;
   return MatrixReachFromAll(nfa, sources, opts);
@@ -482,7 +476,7 @@ void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                             const PathQueryOptions& opts,
                             std::vector<PathNfa::StateMask>* table) {
   KGQ_SPAN("matrix_rpq.reach_table");
-  const CsrSnapshot* csr = nfa.snapshot();
+  const CsrSnapshot* csr = &nfa.snapshot();
   const size_t num_nodes = nfa.num_nodes();
   const size_t num_q = nfa.num_states();
 

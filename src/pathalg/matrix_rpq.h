@@ -156,27 +156,26 @@ class BitMatrix {
 /// sources[i] via some conforming path), bit-identical to
 /// ReachableFrom(nfa, sources[i], opts) for every i. `opts.engine` is
 /// ignored (this *is* the matrix engine); start/end/avoid are honored.
-///
-/// Fails with InvalidArgument when no snapshot is attached — the
-/// per-label partitions are the CSR operands of the products.
-Result<std::vector<Bitset>> MatrixReachFromAll(
-    const PathNfa& nfa, const std::vector<NodeId>& sources,
-    const PathQueryOptions& opts = {});
+/// The per-label partitions of the NFA's snapshot are the CSR operands
+/// of the products.
+std::vector<Bitset> MatrixReachFromAll(const PathNfa& nfa,
+                                       const std::vector<NodeId>& sources,
+                                       const PathQueryOptions& opts = {});
 
 /// Single-source convenience (a 1-row MatrixReachFromAll).
-Result<Bitset> MatrixReachableFrom(const PathNfa& nfa, NodeId start,
-                                   const PathQueryOptions& opts = {});
+Bitset MatrixReachableFrom(const PathNfa& nfa, NodeId start,
+                           const PathQueryOptions& opts = {});
 
 /// All-pairs on the matrix engine: result[a] = ReachableFrom(a), every
 /// node a source — the bulk workload the engine exists for.
-Result<std::vector<Bitset>> MatrixAllPairs(const PathNfa& nfa,
-                                           const PathQueryOptions& opts = {});
+std::vector<Bitset> MatrixAllPairs(const PathNfa& nfa,
+                                   const PathQueryOptions& opts = {});
 
 /// Matrix construction of the backward ReachTable layers: fills `table`
 /// (size (max_len+1) · num_nodes, layer-major — the ReachTable layout)
 /// with masks bit-identical to the scalar per-step construction. Layer
 /// j is one product sweep over layer j-1 per NFA transition instead of
-/// a per-node step scan. Requires an attached snapshot.
+/// a per-node step scan.
 void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                             const PathQueryOptions& opts,
                             std::vector<PathNfa::StateMask>* table);

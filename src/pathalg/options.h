@@ -13,9 +13,8 @@ enum class PathEngine {
   /// reference engine; always available).
   kNfa,
   /// Boolean-semiring matrix fixpoint (pathalg/matrix_rpq): one masked
-  /// SpGEMM per iteration covers every source at once, 64 sources per
-  /// machine word. Requires an attached CsrSnapshot — silently falls
-  /// back to kNfa without one, so requesting it is never wrong.
+  /// SpGEMM per iteration over the NFA's CsrSnapshot covers every
+  /// source at once, 64 sources per machine word.
   kMatrix,
 };
 

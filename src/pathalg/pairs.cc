@@ -11,11 +11,8 @@ namespace kgq {
 
 Bitset ReachableFrom(const PathNfa& nfa, NodeId start,
                      const PathQueryOptions& opts) {
-  // Engine dispatch: the matrix fixpoint needs the snapshot's per-label
-  // partitions; without one the request silently degrades to the BFS.
-  if (opts.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr) {
-    Result<Bitset> r = MatrixReachableFrom(nfa, start, opts);
-    if (r.ok()) return *std::move(r);
+  if (opts.engine == PathEngine::kMatrix) {
+    return MatrixReachableFrom(nfa, start, opts);
   }
   Bitset out(nfa.num_nodes());
   if (opts.avoid != kNoNode && start == opts.avoid) return out;
@@ -41,10 +38,9 @@ Bitset ReachableFrom(const PathNfa& nfa, NodeId start,
   };
 
   // Expansion goes per automaton state (ForEachSuccessor) rather than
-  // per step: with a snapshot attached, each pure-label transition
-  // scans one contiguous per-label range. Saturation makes the
-  // discovery order irrelevant — `seen` converges to the same fixpoint
-  // as the step-at-a-time reference.
+  // per step: each pure-label transition scans one contiguous
+  // per-label range. Saturation makes the discovery order irrelevant —
+  // `seen` converges to the same fixpoint as a step-at-a-time search.
   push(start, nfa.StartMask(start));
   while (!frontier.empty()) {
     auto [n, q] = frontier.back();
@@ -69,10 +65,8 @@ std::vector<Bitset> AllPairs(const PathNfa& nfa,
   // Engine dispatch: all-pairs is the workload the matrix engine exists
   // for — every node is a source, so 64 searches share each word-OR of
   // the fixpoint instead of running 64 separate BFS traversals.
-  if (opts.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr &&
-      opts.start == kNoNode) {
-    Result<std::vector<Bitset>> r = MatrixAllPairs(nfa, opts);
-    if (r.ok()) return *std::move(r);
+  if (opts.engine == PathEngine::kMatrix && opts.start == kNoNode) {
+    return MatrixAllPairs(nfa, opts);
   }
   std::vector<Bitset> out(n);
   // Chunked multi-source evaluation: each source BFS is independent and

@@ -86,14 +86,15 @@ const TestExpr* EndpointNodeTest(const Regex& r, bool last) {
 
 class Executor {
  public:
+  // A snapshot of some other graph is ignored, never trusted; then, as
+  // without one, the view's memoized snapshot serves.
   Executor(const GraphView& view, const ExecOptions& options)
-      : view_(view), options_(options) {
-    // A snapshot of some other graph is ignored, never trusted.
-    const CsrSnapshot* snap = options.snapshot;
-    if (snap != nullptr && snap->MatchesTopology(view.topology())) {
-      csr_ = snap;
-    }
-  }
+      : view_(view),
+        options_(options),
+        csr_(options.snapshot != nullptr &&
+                     options.snapshot->MatchesTopology(view.topology())
+                 ? *options.snapshot
+                 : view.Csr()) {}
 
   /// Operator dispatch plus per-request profiling: when the calling
   /// thread has a TraceContext installed (serve's "profile":true path),
@@ -225,22 +226,21 @@ class Executor {
     return rs;
   }
 
-  /// Single-label scan. With a snapshot it reads label partitions: from
-  /// its constant endpoint if it has one, else from the offered keys of
-  /// the endpoint whose partitions hold fewer entries — when that sum,
-  /// exact from the CSR offsets, is below the label's frequency — else
-  /// from every node.
+  /// Single-label scan over label partitions: from its constant
+  /// endpoint if it has one, else from the offered keys of the endpoint
+  /// whose partitions hold fewer entries — when that sum, exact from the
+  /// CSR offsets, is below the label's frequency — else from every node.
   Result<RowSet> EdgeScan(const LogicalOp& op, const KeySets* keys) {
     RowSet rs;
     rs.schema = op.schema;
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
     NodeId src_at = kNoNode, dst_at = kNoNode;
+    ProfileEngine("csr");
     if (!UsableBound(op.has_bound_src, op.bound_src, view_.num_nodes(),
                      &src_bound, &src_at) ||
         !UsableBound(op.has_bound_dst, op.bound_dst, view_.num_nodes(),
                      &dst_bound, &dst_at)) {
-      ProfileEngine(csr_ != nullptr ? "csr" : "list");
       return rs;
     }
     auto emit = [&](NodeId a, NodeId b) {
@@ -252,32 +252,17 @@ class Executor {
         rs.rows.push_back({a, b});
       }
     };
-    if (csr_ == nullptr) {
-      ProfileEngine("list");
-      const Multigraph& g = view_.topology();
-      std::optional<ConstId> label = view_.ResolveLabel(op.label);
-      for (EdgeId e = 0; label.has_value() && e < g.num_edges(); ++e) {
-        if (!view_.EdgeHasLabel(e, *label)) continue;
-        if (op.backward) {
-          emit(g.EdgeTarget(e), g.EdgeSource(e));
-        } else {
-          emit(g.EdgeSource(e), g.EdgeTarget(e));
-        }
-      }
-      KGQ_COUNTER_ADD("plan.rows.edge_scan", rs.rows.size());
-      return rs;
-    }
-
-    std::optional<LabelId> lab = csr_->FindLabel(op.label);
-    if (!lab.has_value()) {  // No edge carries the label.
-      ProfileEngine("csr");
+    // No edge carries the label — also when only the snapshot spells it
+    // (a vector graph's ⊥ row, which no label atom of the view matches).
+    std::optional<LabelId> lab = csr_.FindLabel(op.label);
+    if (!lab.has_value() || !view_.ResolveLabel(op.label).has_value()) {
       return rs;
     }
     // Reads the label partition of `a` holding pairs (a, ·), or with
     // `from_dst` pairs (·, a): backward atoms swap the in and out views.
     auto partition = [&](NodeId a, bool from_dst) {
-      return op.backward != from_dst ? csr_->InForLabel(a, *lab)
-                                     : csr_->OutForLabel(a, *lab);
+      return op.backward != from_dst ? csr_.InForLabel(a, *lab)
+                                     : csr_.OutForLabel(a, *lab);
     };
     auto scan = [&](NodeId a, bool from_dst) {
       CsrSnapshot::Span part = partition(a, from_dst);
@@ -293,7 +278,7 @@ class Executor {
     const bool constant = src_bound || (dst_bound && !diagonal);
     const KeySet* best = nullptr;
     bool from_dst = false;
-    size_t best_cost = csr_->LabelFrequency(*lab);
+    size_t best_cost = csr_.LabelFrequency(*lab);
     for (bool dst : {false, true}) {
       const KeySet* offered =
           constant || (dst && diagonal)
@@ -308,14 +293,14 @@ class Executor {
         from_dst = dst;
       }
     }
-    ProfileEngine("csr", best != nullptr);
+    if (best != nullptr) ProfileEngine("csr", /*bound=*/true);
     if (constant) {
       scan(src_bound ? src_at : dst_at, !src_bound);
     } else if (best != nullptr) {
       CountBound(best->nodes.size());
       for (NodeId a : best->nodes) scan(a, from_dst);
     } else {
-      for (NodeId a = 0; a < csr_->num_nodes(); ++a) scan(a, false);
+      for (NodeId a = 0; a < csr_.num_nodes(); ++a) scan(a, false);
     }
     KGQ_COUNTER_ADD("plan.rows.edge_scan", rs.rows.size());
     return rs;
@@ -331,8 +316,7 @@ class Executor {
     popts.parallel = options_.parallel;
     if (matrix) {
       KGQ_SPAN("plan.op.matrix_rpq");
-      Result<std::vector<Bitset>> rows = MatrixReachFromAll(nfa, starts, popts);
-      if (rows.ok()) return *std::move(rows);
+      return MatrixReachFromAll(nfa, starts, popts);
     }
     std::vector<Bitset> rows(starts.size());
     const size_t grain = std::max<size_t>(1, (starts.size() + 127) / 128);
@@ -396,22 +380,20 @@ class Executor {
         std::iota(starts.begin(), starts.end(), NodeId{0});
       }
     }
-    // Planner-selected physical engine. The matrix fixpoint needs the
-    // snapshot's label partitions; without one the request degrades to
-    // the BFS engine (results are bit-identical either way).
-    const bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    // Planner-selected physical engine (results are bit-identical
+    // either way).
+    const bool matrix = op.use_matrix_rpq;
     ProfileEngine(matrix ? "matrix" : "nfa", use_keys);
     if (use_keys) CountBound(starts.size());
     if (starts.empty()) return rs;
 
     const RegexPtr searched = from_dst ? Regex::Reverse(regex) : regex;
-    KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view_, *searched));
-    if (csr_ != nullptr) {
-      // Attach is best-effort: topology was pre-checked, and a label
-      // mismatch silently falls back to bitset filtering inside the
-      // product, so a failure here cannot change results.
-      (void)nfa.AttachSnapshot(csr_);
-    }
+    // Topology was checked above; a label mismatch falls back to bitset
+    // filtering inside the product, so the snapshot cannot change
+    // results.
+    KGQ_ASSIGN_OR_RETURN(
+        PathNfa nfa, PathNfa::Compile(view_, *searched,
+                                      PathNfa::Construction::kGlushkov, &csr_));
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
       if (dst_bound && b != dst_at) return;
@@ -439,8 +421,8 @@ class Executor {
   }
 
   /// Context-free PathAtom: the full pair relation of the grammar
-  /// nonterminal (matrix fixpoint with a snapshot + planner opt-in, the
-  /// CYK-style reference otherwise — bit-identical), then endpoint
+  /// nonterminal (matrix fixpoint on the planner's opt-in, the CYK-style
+  /// reference otherwise — bit-identical), then endpoint
   /// bounds filter the relation. Unlike the regular engines there is no
   /// single-source shortcut: the grammar's derivations are not
   /// direction-local, so the fixpoint always runs whole-graph.
@@ -459,7 +441,7 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    const bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    const bool matrix = op.use_matrix_rpq;
     ProfileEngine(matrix ? "cfpq-matrix" : "cfpq-ref");
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
@@ -473,7 +455,7 @@ class Executor {
     if (matrix) {
       KGQ_ASSIGN_OR_RETURN(
           BoolCsr rel,
-          CfpqSolveMatrix(*csr_, grammar, nt, options_.parallel));
+          CfpqSolveMatrix(csr_, grammar, nt, options_.parallel));
       for (size_t a = 0; a < rel.num_rows; ++a) {
         for (size_t k = rel.offsets[a]; k < rel.offsets[a + 1]; ++k) {
           emit(static_cast<NodeId>(a), rel.cols[k]);
@@ -660,7 +642,7 @@ class Executor {
 
   const GraphView& view_;
   const ExecOptions& options_;
-  const CsrSnapshot* csr_ = nullptr;
+  const CsrSnapshot& csr_;
 };
 
 }  // namespace

@@ -25,10 +25,10 @@ struct ExecOptions {
   /// fans out per start node). Results are identical for every thread
   /// count.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the view's topology. When it matches,
-  /// EdgeScan runs over contiguous label partitions and PathAtom
-  /// product runs attach it (PathNfa::AttachSnapshot); when it doesn't,
-  /// it is ignored — never wrong, only slower. Must outlive the call.
+  /// CSR snapshot of the view's topology: EdgeScan reads its label
+  /// partitions and PathAtom products step over it. Null, or a snapshot
+  /// of another topology (ignored, never trusted), means the view's
+  /// memoized one (GraphView::Csr()). Must outlive the call.
   const CsrSnapshot* snapshot = nullptr;
 };
 
@@ -52,7 +52,7 @@ struct ExecOptions {
 ///  * An EdgeScan reads the label partitions of the offered endpoint
 ///    whose partition sizes, exact from the snapshot's offsets, sum to
 ///    less; it does so only when that sum is below the label's
-///    frequency, and only with a snapshot.
+///    frequency.
 ///  * A regular PathAtom runs one search per offered node of the
 ///    endpoint with fewer of them, when they are fewer than the graph's
 ///    nodes; an atom bound only at its target counts as offering that

@@ -45,8 +45,7 @@ struct PlannerOptions {
   /// the engines return bit-identical rows, the rule only moves the
   /// work onto masked SpGEMM sweeps when the atom is a bulk all-pairs
   /// evaluation (EstimateCfpqPairs drives the context-free cost
-  /// estimate). The executor falls back to the BFS / CYK-reference
-  /// engine when no usable snapshot is attached.
+  /// estimate).
   MatrixRpqMode matrix_rpq = MatrixRpqMode::kAuto;
 };
 

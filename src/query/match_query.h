@@ -80,8 +80,10 @@ Result<ConjunctiveQuery> CompileMatch(const MatchQuery& query);
 /// Knobs for planned MATCH execution.
 struct MatchPlanOptions {
   ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology (stats + fast scans); may
-  /// be null. Ignored if it doesn't match the view.
+  /// Optional CSR snapshot of view's topology, as in CrpqOptions: label
+  /// statistics for the planner and the executor's adjacency. Null or
+  /// mismatched (ignored): no label statistics, and the executor reads
+  /// the view's memoized snapshot.
   const CsrSnapshot* snapshot = nullptr;
   PlannerOptions planner;
 };

@@ -233,12 +233,7 @@ Result<std::vector<Binding>> EvalBgpPlanned(
   bool ask_query = cq->projection.empty();
   if (ask_query) cq->projection.push_back(cq->bound.begin()->first);
 
-  CsrSnapshot snapshot;
-  const CsrSnapshot* snap = nullptr;
-  if (options.use_snapshot) {
-    snapshot = view.Snapshot();
-    snap = &snapshot;
-  }
+  const CsrSnapshot* snap = &view.Csr();
   GraphStats stats = GraphStats::From(&view, snap);
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(*cq, stats, options.planner));

@@ -66,9 +66,6 @@ Result<ConjunctiveQuery> CompileBgp(const std::vector<TriplePattern>& patterns,
 /// Knobs for planned BGP evaluation.
 struct BgpPlanOptions {
   ParallelOptions parallel;
-  /// Build a predicate-labeled CSR snapshot of the view and hand it to
-  /// planner + executor (RdfGraphView::Snapshot).
-  bool use_snapshot = true;
   PlannerOptions planner;
 };
 

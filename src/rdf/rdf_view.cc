@@ -54,9 +54,11 @@ bool RdfGraphView::EdgeHasLabel(EdgeId e, ConstId label) const {
   return edge_preds_[e] == label;
 }
 
-CsrSnapshot RdfGraphView::Snapshot() const {
-  return CsrSnapshot::FromLabeledEdges(graph_, [this](EdgeId e) {
-    return store_.dict().Lookup(edge_preds_[e]);
+const CsrSnapshot& RdfGraphView::Csr() const {
+  return csr_.Get([this] {
+    return CsrSnapshot::FromLabeledEdges(graph_, [this](EdgeId e) {
+      return store_.dict().Lookup(edge_preds_[e]);
+    });
   });
 }
 

@@ -29,6 +29,9 @@ class RdfGraphView final : public GraphView {
                         const RdfsVocabulary& vocab = {});
 
   const Multigraph& topology() const override { return graph_; }
+  /// CSR snapshot of this view's topology with predicate-labeled edge
+  /// partitions, built on first use.
+  const CsrSnapshot& Csr() const override;
   std::optional<ConstId> ResolveLabel(std::string_view label) const override;
   bool NodeHasLabel(NodeId n, ConstId label) const override;
   bool EdgeHasLabel(EdgeId e, ConstId label) const override;
@@ -44,11 +47,6 @@ class RdfGraphView final : public GraphView {
 
   const TripleStore& store() const { return store_; }
 
-  /// CSR snapshot of this view's topology with predicate-labeled edge
-  /// partitions — feeds the query planner's cardinality estimator and
-  /// the EdgeScan label-partition fast path.
-  CsrSnapshot Snapshot() const;
-
  private:
   const TripleStore& store_;
   Multigraph graph_;
@@ -58,6 +56,7 @@ class RdfGraphView final : public GraphView {
   // Predicates whose triples define node "labels": the vocabulary's
   // type, the full rdf:type IRI (Turtle `a`), and kgq:label.
   std::vector<ConstId> label_preds_;
+  CsrMemo csr_;
 };
 
 }  // namespace kgq

@@ -69,8 +69,10 @@ Result<ConjunctiveQuery> CompileCrpq(const Crpq& q);
 /// Knobs for planned CRPQ execution.
 struct CrpqOptions {
   ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology (cardinality stats +
-  /// label-partition scans); may be null, ignored on mismatch.
+  /// Optional CSR snapshot of view's topology: the planner's label
+  /// statistics, and the adjacency the executor reads. Null, or a
+  /// mismatched snapshot (ignored), plans without label statistics and
+  /// executes on the view's memoized snapshot.
   const CsrSnapshot* snapshot = nullptr;
   PlannerOptions planner;
 };

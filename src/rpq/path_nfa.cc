@@ -8,7 +8,8 @@
 namespace kgq {
 
 Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
-                                 Construction construction) {
+                                 Construction construction,
+                                 const CsrSnapshot* snapshot) {
   KGQ_SPAN("rpq.compile");
   KGQ_COUNTER_INC("rpq.compile.calls");
   QueryAutomaton qa = construction == Construction::kGlushkov
@@ -121,6 +122,11 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
       }
     }
   }
+  if (snapshot != nullptr) {
+    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(snapshot));
+  } else {
+    nfa.Attach(view.Csr());
+  }
   return nfa;
 }
 
@@ -134,8 +140,7 @@ void PathNfa::RecordAtomLabel(const TestExpr& test) {
 
 Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
   if (snapshot == nullptr) {
-    csr_ = nullptr;
-    atom_csr_label_.clear();
+    Attach(view_->Csr());
     return Status::OK();
   }
   KGQ_COUNTER_INC("rpq.snapshot_attaches");
@@ -147,28 +152,33 @@ Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
         std::to_string(num_nodes_) + " / " +
         std::to_string(view_->num_edges()) + ")");
   }
+  Attach(*snapshot);
+  return Status::OK();
+}
+
+void PathNfa::Attach(const CsrSnapshot& snapshot) {
   // Resolve pure-label atoms to the snapshot's dense label ids. The
   // partition is only trusted when it reproduces the compiled match
   // bitset exactly — snapshots of the graph the query was compiled
-  // against always pass; a topology-equal snapshot with different
-  // labels degrades to bitset filtering instead of changing results.
+  // against pass; a topology-equal snapshot with different labels (or
+  // a vector graph's ⊥ row) degrades to bitset filtering instead of
+  // changing results.
   size_t m = view_->num_edges();
   atom_csr_label_.assign(edge_match_.size(), kAtomFiltered);
   for (size_t a = 0; a < edge_match_.size(); ++a) {
     if (!atom_pure_label_[a].has_value()) continue;
-    std::optional<LabelId> lab = snapshot->FindLabel(*atom_pure_label_[a]);
+    std::optional<LabelId> lab = snapshot.FindLabel(*atom_pure_label_[a]);
     if (!lab.has_value()) {
       if (edge_match_[a].None()) atom_csr_label_[a] = kAtomDead;
       continue;
     }
     bool exact = true;
     for (EdgeId e = 0; e < m && exact; ++e) {
-      exact = (edge_match_[a].Test(e) == (snapshot->EdgeLabel(e) == *lab));
+      exact = (edge_match_[a].Test(e) == (snapshot.EdgeLabel(e) == *lab));
     }
     if (exact) atom_csr_label_[a] = *lab;
   }
-  csr_ = snapshot;
-  return Status::OK();
+  csr_ = &snapshot;
 }
 
 std::vector<PathNfa::TransitionView> PathNfa::Transitions() const {
@@ -185,11 +195,6 @@ std::vector<PathNfa::TransitionView> PathNfa::Transitions() const {
 }
 
 PathNfa::AtomClass PathNfa::ClassifyAtom(uint32_t atom) const {
-  // Without an attached snapshot there are no resolved labels; an atom
-  // is dead iff its match bitset is empty, filtered otherwise.
-  if (atom_csr_label_.empty()) {
-    return edge_match_[atom].None() ? AtomClass::kDead : AtomClass::kFiltered;
-  }
   LabelId l = atom_csr_label_[atom];
   if (l == kAtomDead) return AtomClass::kDead;
   if (l == kAtomFiltered) {

@@ -60,30 +60,37 @@ class PathNfa {
 
   /// Compiles `regex` against `view`. Precomputes per-atom match bitsets
   /// and per-node ε-closures; the view must outlive the PathNfa.
+  ///
+  /// Steps are read from a CsrSnapshot of the view's topology:
+  /// `snapshot` when given (verified as by AttachSnapshot; a mismatch
+  /// fails), else the view's memoized one (GraphView::Csr(), built on
+  /// first use). A caller holding a snapshot — the server's epoch CSR —
+  /// passes it, so the view's own memo is never built.
   static Result<PathNfa> Compile(
       const GraphView& view, const Regex& regex,
-      Construction construction = Construction::kGlushkov);
+      Construction construction = Construction::kGlushkov,
+      const CsrSnapshot* snapshot = nullptr);
 
-  /// Attaches an immutable CSR snapshot of the same topology (or
-  /// detaches with nullptr). Step iteration then scans the snapshot's
-  /// contiguous adjacency instead of the multigraph's per-node lists,
-  /// and pure-label edge atoms are resolved to the snapshot's label
-  /// partitions so saturating searches (ForEachSuccessor) scan one
-  /// contiguous range per transition. Steps are produced in exactly the
-  /// same order either way, so every downstream algorithm —
+  /// Re-targets step iteration to `snapshot`, an immutable CSR snapshot
+  /// of the compiled view's topology (nullptr: the view's memoized
+  /// snapshot). Pure-label edge atoms are resolved to the snapshot's
+  /// label partitions so saturating searches (ForEachSuccessor) scan one
+  /// contiguous range per transition. Steps come in the same order from
+  /// any snapshot of the topology, so every downstream algorithm —
   /// enumeration, the exact DP, FPRAS preprocessing and sampling —
-  /// returns bit-identical results with or without a snapshot.
+  /// returns bit-identical results whichever is attached.
   ///
   /// Fails with InvalidArgument if the snapshot's topology differs from
-  /// the compiled view's. An atom whose match bitset disagrees with the
-  /// snapshot's label partition (a snapshot of a *different* graph that
-  /// happens to share topology) falls back to bitset filtering, so a
+  /// the compiled view's (the previous snapshot stays attached). An atom
+  /// whose match bitset disagrees with the snapshot's label partition (a
+  /// snapshot of a *different* graph that happens to share topology, or
+  /// a vector graph's ⊥ labels) falls back to bitset filtering, so a
   /// successful attach never changes results. The snapshot must outlive
-  /// this PathNfa (or be detached first).
+  /// this PathNfa.
   Status AttachSnapshot(const CsrSnapshot* snapshot);
 
-  /// The attached snapshot, or nullptr.
-  const CsrSnapshot* snapshot() const { return csr_; }
+  /// The attached snapshot.
+  const CsrSnapshot& snapshot() const { return *csr_; }
 
   /// Number of automaton states.
   size_t num_states() const { return num_q_; }
@@ -112,52 +119,25 @@ class PathNfa {
   StateMask PredMask(uint32_t q, const Step& s) const;
 
   /// Calls fn(Step) for every step leaving node n that can fire at least
-  /// one edge atom. Self-loops are emitted once (backward = false).
-  /// Steps entering `blocked` (or leaving it) are the caller's business —
-  /// the path algorithms filter on their own options.
-  ///
-  /// With an attached snapshot the scan runs over its contiguous
-  /// adjacency; both backends emit the identical step sequence (out
-  /// edges then in edges, ascending edge id).
+  /// one edge atom: out edges then in edges, ascending edge id.
+  /// Self-loops are emitted once (backward = false). Steps entering
+  /// `blocked` (or leaving it) are the caller's business — the path
+  /// algorithms filter on their own options.
   template <typename Fn>
   void ForEachStep(NodeId n, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      if (KGQ_OBS_ON()) {
-        KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                        csr_->Out(n).size() + csr_->In(n).size());
-        KGQ_COUNTER_INC("rpq.step.csr_scans");
-      }
-      for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
-        bool self = (a.neighbor == n);
-        bool usable = edge_fwd_usable_.Test(a.edge) ||
-                      (self && edge_bwd_usable_.Test(a.edge));
-        if (usable) fn(Step{a.edge, false, n, a.neighbor});
-      }
-      for (const CsrSnapshot::Entry& a : csr_->In(n)) {
-        if (a.neighbor == n) continue;  // Self-loop emitted as forward.
-        if (edge_bwd_usable_.Test(a.edge)) {
-          fn(Step{a.edge, true, n, a.neighbor});
-        }
-      }
-      return;
+    KGQ_COUNTER_ADD("rpq.step.edges_scanned",
+                    csr_->Out(n).size() + csr_->In(n).size());
+    for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
+      bool self = (a.neighbor == n);
+      bool usable = edge_fwd_usable_.Test(a.edge) ||
+                    (self && edge_bwd_usable_.Test(a.edge));
+      if (usable) fn(Step{a.edge, false, n, a.neighbor});
     }
-    const Multigraph& g = view_->topology();
-    if (KGQ_OBS_ON()) {
-      KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                      g.OutEdges(n).size() + g.InEdges(n).size());
-      KGQ_COUNTER_INC("rpq.step.list_scans");
-    }
-    for (EdgeId e : g.OutEdges(n)) {
-      NodeId to = g.EdgeTarget(e);
-      bool self = (to == n);
-      bool usable = edge_fwd_usable_.Test(e) ||
-                    (self && edge_bwd_usable_.Test(e));
-      if (usable) fn(Step{e, false, n, to});
-    }
-    for (EdgeId e : g.InEdges(n)) {
-      NodeId to = g.EdgeSource(e);
-      if (to == n) continue;  // Self-loop already emitted as forward.
-      if (edge_bwd_usable_.Test(e)) fn(Step{e, true, n, to});
+    for (const CsrSnapshot::Entry& a : csr_->In(n)) {
+      if (a.neighbor == n) continue;  // Self-loop emitted as forward.
+      if (edge_bwd_usable_.Test(a.edge)) {
+        fn(Step{a.edge, true, n, a.neighbor});
+      }
     }
   }
 
@@ -165,43 +145,19 @@ class PathNfa {
   /// used by the FPRAS layer recurrence).
   template <typename Fn>
   void ForEachStepInto(NodeId n, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      if (KGQ_OBS_ON()) {
-        KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                        csr_->Out(n).size() + csr_->In(n).size());
-        KGQ_COUNTER_INC("rpq.step.csr_scans");
-      }
-      for (const CsrSnapshot::Entry& a : csr_->In(n)) {
-        bool self = (a.neighbor == n);
-        bool usable = edge_fwd_usable_.Test(a.edge) ||
-                      (self && edge_bwd_usable_.Test(a.edge));
-        if (usable) fn(Step{a.edge, false, a.neighbor, n});
-      }
-      for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
-        if (a.neighbor == n) continue;
-        if (edge_bwd_usable_.Test(a.edge)) {
-          fn(Step{a.edge, true, a.neighbor, n});
-        }
-      }
-      return;
+    KGQ_COUNTER_ADD("rpq.step.edges_scanned",
+                    csr_->Out(n).size() + csr_->In(n).size());
+    for (const CsrSnapshot::Entry& a : csr_->In(n)) {
+      bool self = (a.neighbor == n);
+      bool usable = edge_fwd_usable_.Test(a.edge) ||
+                    (self && edge_bwd_usable_.Test(a.edge));
+      if (usable) fn(Step{a.edge, false, a.neighbor, n});
     }
-    const Multigraph& g = view_->topology();
-    if (KGQ_OBS_ON()) {
-      KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                      g.OutEdges(n).size() + g.InEdges(n).size());
-      KGQ_COUNTER_INC("rpq.step.list_scans");
-    }
-    for (EdgeId e : g.InEdges(n)) {
-      NodeId from = g.EdgeSource(e);
-      bool self = (from == n);
-      bool usable = edge_fwd_usable_.Test(e) ||
-                    (self && edge_bwd_usable_.Test(e));
-      if (usable) fn(Step{e, false, from, n});
-    }
-    for (EdgeId e : g.OutEdges(n)) {
-      NodeId from = g.EdgeTarget(e);
-      if (from == n) continue;
-      if (edge_bwd_usable_.Test(e)) fn(Step{e, true, from, n});
+    for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
+      if (a.neighbor == n) continue;
+      if (edge_bwd_usable_.Test(a.edge)) {
+        fn(Step{a.edge, true, a.neighbor, n});
+      }
     }
   }
 
@@ -211,79 +167,63 @@ class PathNfa {
   /// equals { (s.to, bits of AdvanceSingle(q, s) before closure) } over
   /// ForEachStep(n). Callers close the emitted states at to_node.
   ///
-  /// With an attached snapshot, transitions whose atom is a pure label
-  /// test scan that label's contiguous partition instead of filtering
-  /// the node's full adjacency — the product-graph step the snapshot
-  /// exists for. Emission *order* differs from the list backend, and a
-  /// (to_node, to_state) pair may be emitted once per witnessing
-  /// edge, so only order-insensitive saturating consumers (existential
-  /// reachability) may use this.
+  /// Transitions whose atom is a pure label test scan that label's
+  /// contiguous partition instead of filtering the node's full
+  /// adjacency — the product-graph step the snapshot exists for.
+  /// Emission *order* differs from ForEachStep, and a (to_node,
+  /// to_state) pair may be emitted once per witnessing edge, so only
+  /// order-insensitive saturating consumers (existential reachability)
+  /// may use this.
   template <typename Fn>
   void ForEachSuccessor(NodeId n, uint32_t q, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      for (const EdgeTrans& t : fwd_trans_[q]) {
-        LabelId lab = atom_csr_label_[t.atom];
-        if (lab == kAtomDead) continue;
-        if (lab == kAtomFiltered) {
-          CsrSnapshot::Span adj = csr_->Out(n);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
-          }
-          for (const CsrSnapshot::Entry& a : adj) {
-            if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
-          }
-        } else {
-          CsrSnapshot::Span part = csr_->OutForLabel(n, lab);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
-          }
-          for (const CsrSnapshot::Entry& a : part) {
-            fn(a.neighbor, t.to);
-          }
+    for (const EdgeTrans& t : fwd_trans_[q]) {
+      LabelId lab = atom_csr_label_[t.atom];
+      if (lab == kAtomDead) continue;
+      if (lab == kAtomFiltered) {
+        CsrSnapshot::Span adj = csr_->Out(n);
+        if (KGQ_OBS_ON()) {
+          KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
+          KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
+        }
+        for (const CsrSnapshot::Entry& a : adj) {
+          if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
+        }
+      } else {
+        CsrSnapshot::Span part = csr_->OutForLabel(n, lab);
+        if (KGQ_OBS_ON()) {
+          KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
+          KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
+        }
+        for (const CsrSnapshot::Entry& a : part) {
+          fn(a.neighbor, t.to);
         }
       }
-      // Backward atoms scan the in view; self-loops appear there too,
-      // matching the "self-loop fires both directions" step semantics.
-      for (const EdgeTrans& t : bwd_trans_[q]) {
-        LabelId lab = atom_csr_label_[t.atom];
-        if (lab == kAtomDead) continue;
-        if (lab == kAtomFiltered) {
-          CsrSnapshot::Span adj = csr_->In(n);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
-          }
-          for (const CsrSnapshot::Entry& a : adj) {
-            if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
-          }
-        } else {
-          CsrSnapshot::Span part = csr_->InForLabel(n, lab);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
-          }
-          for (const CsrSnapshot::Entry& a : part) {
-            fn(a.neighbor, t.to);
-          }
-        }
-      }
-      return;
     }
-    ForEachStep(n, [&](const Step& s) {
-      bool self = (s.from == s.to);
-      if (!s.backward || self) {
-        for (const EdgeTrans& t : fwd_trans_[q]) {
-          if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
+    // Backward atoms scan the in view; self-loops appear there too,
+    // matching the "self-loop fires both directions" step semantics.
+    for (const EdgeTrans& t : bwd_trans_[q]) {
+      LabelId lab = atom_csr_label_[t.atom];
+      if (lab == kAtomDead) continue;
+      if (lab == kAtomFiltered) {
+        CsrSnapshot::Span adj = csr_->In(n);
+        if (KGQ_OBS_ON()) {
+          KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
+          KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
+        }
+        for (const CsrSnapshot::Entry& a : adj) {
+          if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
+        }
+      } else {
+        CsrSnapshot::Span part = csr_->InForLabel(n, lab);
+        if (KGQ_OBS_ON()) {
+          KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
+          KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
+        }
+        for (const CsrSnapshot::Entry& a : part) {
+          fn(a.neighbor, t.to);
         }
       }
-      if (s.backward || self) {
-        for (const EdgeTrans& t : bwd_trans_[q]) {
-          if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
-        }
-      }
-    });
+    }
   }
 
   // ---- Product introspection (the matrix engine's view) ----
@@ -371,6 +311,10 @@ class PathNfa {
   /// test is a plain ℓ atom (resolved against snapshots at attach time).
   void RecordAtomLabel(const TestExpr& test);
 
+  /// Attaches a snapshot already known to match the view's topology:
+  /// resolves the pure-label atoms against it.
+  void Attach(const CsrSnapshot& snapshot);
+
   const GraphView* view_ = nullptr;
   const CsrSnapshot* csr_ = nullptr;
   size_t num_nodes_ = 0;
@@ -386,7 +330,7 @@ class PathNfa {
 
   // Per-atom label spelling when the atom's test is a plain ℓ atom
   // (set at compile time), and its resolution against the attached
-  // snapshot (set by AttachSnapshot; kAtomFiltered without one).
+  // snapshot (set by Attach).
   std::vector<std::optional<std::string>> atom_pure_label_;
   std::vector<LabelId> atom_csr_label_;
 

@@ -245,7 +245,7 @@ Result<std::string> ExplainPrepared(const Server::PreparedQuery& prep,
 
 Server::Server(ServerOptions options)
     : options_(options), cache_(options.cache_capacity) {
-  if (options_.workers == 0) options_.workers = 1;
+  options_.workers = std::clamp<size_t>(options_.workers, 1, kMaxWorkers);
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.default_query_threads == 0) options_.default_query_threads = 1;
   if (options_.max_query_threads == 0) options_.max_query_threads = 1;

@@ -17,10 +17,15 @@
 namespace kgq {
 namespace serve {
 
+/// Upper bound on ServerOptions::workers: ServeStream starts one thread
+/// per worker, so a larger request is clamped here (and kgq-serve
+/// rejects it as a bad argument).
+inline constexpr size_t kMaxWorkers = 256;
+
 /// Knobs of one Server instance.
 struct ServerOptions {
   /// Query worker threads in ServeStream (writes always run on the
-  /// dispatcher, in input order). At least 1.
+  /// dispatcher, in input order). At least 1, at most kMaxWorkers.
   size_t workers = 4;
   /// Bounded admission queue: when this many queries are in flight the
   /// dispatcher blocks before admitting the next one (backpressure

@@ -8,8 +8,8 @@
 #include "datasets/figure2.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/betweenness_brute.h"
 #include "rpq/parser.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 namespace {
@@ -18,35 +18,6 @@ RegexPtr Parse(const std::string& s) {
   Result<RegexPtr> r = ParseRegex(s);
   EXPECT_TRUE(r.ok()) << s << ": " << r.status();
   return *r;
-}
-
-// Brute-force classical betweenness from the definition, for validation.
-std::vector<double> BruteForceBc(const Multigraph& g, EdgeDirection dir) {
-  size_t n = g.num_nodes();
-  std::vector<double> bc(n, 0.0);
-  for (NodeId a = 0; a < n; ++a) {
-    auto fwd = CountShortestPaths(g, a, dir);
-    for (NodeId b = 0; b < n; ++b) {
-      if (b == a || fwd.dist[b] == kUnreachable || fwd.dist[b] == 0) continue;
-      // σ_ab(x): via the standard identity σ_ab(x) = σ_ax · σ_xb when
-      // d(a,x) + d(x,b) = d(a,b).
-      auto from_b = CountShortestPaths(g, b, dir == EdgeDirection::kDirected
-                                                  ? EdgeDirection::kDirected
-                                                  : EdgeDirection::kUndirected);
-      for (NodeId x = 0; x < n; ++x) {
-        if (x == a || x == b) continue;
-        // For directed graphs we need distances *to* b, so recompute
-        // from x instead.
-        auto from_x = CountShortestPaths(g, x, dir);
-        if (fwd.dist[x] == kUnreachable || from_x.dist[b] == kUnreachable) {
-          continue;
-        }
-        if (fwd.dist[x] + from_x.dist[b] != fwd.dist[b]) continue;
-        bc[x] += fwd.count[x] * from_x.count[b] / fwd.count[b];
-      }
-    }
-  }
-  return bc;
 }
 
 TEST(BetweennessTest, PathGraphMiddleDominates) {
@@ -75,41 +46,6 @@ TEST(BetweennessTest, MatchesBruteForceOnRandomGraphs) {
       }
     }
   }
-}
-
-// Brute-force bc_r straight from the Section 4.2 definition, using the
-// reference evaluator.
-std::vector<double> BruteForceBcr(const GraphView& view, const Regex& r,
-                                  size_t max_len) {
-  size_t n = view.num_nodes();
-  std::vector<Path> all = EvalReference(view, r, max_len);
-  std::vector<double> bc(n, 0.0);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (b == a) continue;
-      // Shortest conforming a→b paths.
-      size_t best = max_len + 1;
-      for (const Path& p : all) {
-        if (p.Start() == a && p.End() == b) best = std::min(best, p.Length());
-      }
-      if (best == 0 || best > max_len) continue;
-      std::vector<const Path*> shortest;
-      for (const Path& p : all) {
-        if (p.Start() == a && p.End() == b && p.Length() == best) {
-          shortest.push_back(&p);
-        }
-      }
-      for (NodeId x = 0; x < n; ++x) {
-        if (x == a || x == b) continue;
-        double through = 0.0;
-        for (const Path* p : shortest) {
-          if (p->Contains(x)) through += 1.0;
-        }
-        bc[x] += through / static_cast<double>(shortest.size());
-      }
-    }
-  }
-  return bc;
 }
 
 TEST(BetweennessTest, PivotSamplingConverges) {

@@ -348,15 +348,10 @@ TEST(SpmmTest, AggregationMatchesHandComputedSums) {
     f.at(v, 0) = 1.0 + v;
     f.at(v, 1) = 0.25 * (v + 1);
   }
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  for (bool use_csr : {false, true}) {
+  {
     auto agg = [&](const std::string& rel, bool incoming) {
       Matrix out(3, 2);
-      if (use_csr) {
-        SpmmAggregateCsr(snap, f, rel, incoming, &out);
-      } else {
-        SpmmAggregateList(g, f, rel, incoming, &out);
-      }
+      SpmmAggregateCsr(g.Csr(), f, rel, incoming, &out);
       return out;
     };
     Matrix in_a = agg("a", true);
@@ -426,10 +421,9 @@ TEST(WlTest, PinnedColorGoldens) {
 
 // ----------------------------------------------------- backend equivalence
 
-TEST(AcGnnTest, BackendsAndSnapshotsBitIdentical) {
+TEST(AcGnnTest, BackendsBitIdentical) {
   Rng rng(606);
   LabeledGraph g = ErdosRenyi(18, 50, {"p", "q"}, {"a", "b"}, &rng);
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   AcGnn gnn(2);
   for (int l = 0; l < 2; ++l) {
     size_t in = l == 0 ? 2 : 4;
@@ -448,26 +442,14 @@ TEST(AcGnnTest, BackendsAndSnapshotsBitIdentical) {
   Matrix ref = *gnn.Run(g, x, ref_opts);
 
   for (GnnBackend backend : {GnnBackend::kNodeLoop, GnnBackend::kGemm}) {
-    for (const CsrSnapshot* s : {static_cast<const CsrSnapshot*>(nullptr),
-                                 &snap}) {
-      for (size_t t : {size_t{1}, size_t{4}}) {
-        GnnOptions opts;
-        opts.backend = backend;
-        opts.snapshot = s;
-        opts.parallel.num_threads = t;
-        EXPECT_EQ(ref, *gnn.Run(g, x, opts))
-            << "backend=" << static_cast<int>(backend)
-            << " csr=" << (s != nullptr) << " threads=" << t;
-      }
+    for (size_t t : {size_t{1}, size_t{4}}) {
+      GnnOptions opts;
+      opts.backend = backend;
+      opts.parallel.num_threads = t;
+      EXPECT_EQ(ref, *gnn.Run(g, x, opts))
+          << "backend=" << static_cast<int>(backend) << " threads=" << t;
     }
   }
-
-  // A stale snapshot (different topology) silently falls back.
-  LabeledGraph other = Cycle(5, "p", "a");
-  CsrSnapshot stale = CsrSnapshot::FromGraph(other);
-  GnnOptions with_stale;
-  with_stale.snapshot = &stale;
-  EXPECT_EQ(ref, *gnn.Run(g, x, with_stale));
 }
 
 TEST(WlTest, CompiledGnnIsWlInvariantToo) {

@@ -234,20 +234,17 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     Result<std::vector<Binding>> ref = EvalBgp(store, *patterns);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_snapshot : {false, true}) {
-        for (MatrixRpqMode matrix :
-             {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-          BgpPlanOptions opts;
-          opts.parallel.num_threads = threads;
-          opts.use_snapshot = with_snapshot;
-          opts.planner.matrix_rpq = matrix;
-          Result<std::vector<Binding>> got =
-              EvalBgpPlanned(store, *patterns, opts);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ASSERT_EQ(*got, *ref)
-              << "threads=" << threads << " snapshot=" << with_snapshot
-              << " matrix=" << (matrix == MatrixRpqMode::kAlways);
-        }
+      for (MatrixRpqMode matrix :
+           {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
+        BgpPlanOptions opts;
+        opts.parallel.num_threads = threads;
+        opts.planner.matrix_rpq = matrix;
+        Result<std::vector<Binding>> got =
+            EvalBgpPlanned(store, *patterns, opts);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(*got, *ref)
+            << "threads=" << threads
+            << " matrix=" << (matrix == MatrixRpqMode::kAlways);
       }
     }
   }

@@ -332,6 +332,43 @@ TEST_F(ServeProfileTest, ProfileDeterministicAcrossWorkersAndThreadBudgets) {
   }
 }
 
+// The serving layer reads every epoch through its published CSR: the
+// executor compiles path atoms against it, and the analytics views
+// recompute on it. So a served stream — profiled queries in all three
+// front-ends, EXPLAINs, view lookups, publishes — never builds a graph
+// model's memoized snapshot, which would be a second CSR per epoch.
+TEST_F(ServeProfileTest, ServedStreamBuildsNoMemoizedSnapshot) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "the memo-build counter is compiled out (KGQ_OBS=OFF)";
+  }
+  std::string script = DifferentialScript();
+  script += QueryLine("match", "MATCH (x) -[ knows* ]-> (y) RETURN x, y",
+                      /*profile=*/true, 100) + "\n";
+  script +=
+      R"j({"op":"explain","lang":"crpq","text":"q(x) :- (x) -[ a ]-> (y)"})j"
+      "\n"
+      R"j({"op":"explain","lang":"bgp","text":"?x knows ?y"})j"
+      "\n"
+      R"j({"op":"analytics","view":"components","node":0})j"
+      "\n"
+      R"j({"op":"analytics","view":"pagerank","top":3})j"
+      "\n"
+      R"j({"op":"analytics","view":"reach","label":"knows","node":0})j"
+      "\n";
+  obs::Counter* builds =
+      obs::Registry::Get().GetCounter("graph.csr.memo_builds");
+  const uint64_t before = builds->Value();
+  ServerOptions options;
+  options.workers = 4;
+  Server server(options);
+  std::istringstream in(script);
+  std::ostringstream out;
+  server.ServeStream(in, out);
+  ASSERT_NE(out.str().find("\"profile\":{"), std::string::npos);
+  ASSERT_EQ(out.str().find("\"error\""), std::string::npos) << out.str();
+  EXPECT_EQ(builds->Value(), before);
+}
+
 // Flipping the runtime obs switch from another thread while a 4-worker
 // stream serves profiled queries must never tear a profile: every
 // profiled response carries a "profile" member that is either null or a

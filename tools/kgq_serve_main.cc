@@ -64,8 +64,9 @@ void Help(const char* argv0) {
       "input order. See README \"Serving layer\" for the protocol.\n"
       "\n"
       "Options:\n"
-      "  --workers N            query worker threads (default 4;\n"
-      "                         responses stay in input order at any N)\n"
+      "  --workers N            query worker threads (default 4, at\n"
+      "                         most 256; responses stay in input\n"
+      "                         order at any N)\n"
       "  --queue N              in-flight query admission queue before\n"
       "                         the dispatcher blocks (default 128)\n"
       "  --query-threads N      intra-query parallelism per request\n"
@@ -252,7 +253,8 @@ int main(int argc, char** argv) {
     };
     bool ok = true;
     if (arg == "--workers") {
-      ok = ParseSize(next(), &options.workers);
+      ok = ParseSize(next(), &options.workers) &&
+           options.workers <= kgq::serve::kMaxWorkers;
     } else if (arg == "--queue") {
       ok = ParseSize(next(), &options.queue_capacity);
     } else if (arg == "--query-threads") {
