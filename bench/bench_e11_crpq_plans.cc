@@ -57,7 +57,7 @@ int main() {
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  const CsrSnapshot& snap = view.Csr();
   GraphStats stats = GraphStats::From(&view, &snap);
 
   std::printf("DBLP-synth graph: %zu nodes, %zu edges "
@@ -117,7 +117,6 @@ int main() {
 
       ExecOptions eopts;
       eopts.parallel.num_threads = mode.threads;
-      eopts.snapshot = &snap;
       Timer exec_timer;
       RowSet result = *ExecutePlan(view, *plan, eopts);
       double exec_ms = exec_timer.Millis();

@@ -1,10 +1,10 @@
 // E13 — context-free path queries on the matrix substrate: the
 // same-generation query (the canonical non-regular pair relation —
-// equal numbers of up and down citation steps) evaluated under the two
-// CFPQ engines behind PathAtom:
+// equal numbers of up and down citation steps) evaluated by the CFPQ
+// engine behind PathAtom and by its oracle:
 //
 //   * cyk     — the naive bottom-up fixpoint over per-nonterminal bitset
-//               relations (rpq/cfpq_reference.h), re-applying every
+//               relations (oracles/cfpq_reference.h), re-applying every
 //               production over the *full* relations each round;
 //   * matrix  — the semi-naive BoolCsr fixpoint
 //               (pathalg/cfpq_matrix.h), where each round's products
@@ -40,9 +40,9 @@
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "obs/obs.h"
+#include "oracles/cfpq_reference.h"
 #include "pathalg/cfpq_matrix.h"
 #include "pathalg/pairs.h"
-#include "rpq/cfpq_reference.h"
 #include "rpq/parser.h"
 #include "rpq/path_expr.h"
 #include "rpq/path_nfa.h"

@@ -10,6 +10,7 @@
 // the blocked-GEMM backend should deliver ≥3x single-thread speedup.
 // Results are mirrored to BENCH_e7_logic_gnn.json (rows + obs registry).
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -191,7 +192,9 @@ int main() {
   std::vector<SweepRow> sweep;
   size_t sweep_nodes = 0, sweep_edges = 0;
   bool sweep_identical = true;
-  double best_1t_speedup = 0.0;
+  // Per-pair node-loop / GEMM single-thread ratios, sorted.
+  constexpr int kSpeedupPairs = 9;
+  std::vector<double> gemm_ratios;
   {
     constexpr size_t kDim = 64;
     Rng grng(20260806);
@@ -249,9 +252,6 @@ int main() {
         sweep_identical = sweep_identical && identical;
         SweepRow row{backend == GnnBackend::kGemm ? "gemm" : "nodeloop",
                      threads, ms, ref_ms / ms, identical};
-        if (row.backend == "gemm" && threads == 1) {
-          best_1t_speedup = std::max(best_1t_speedup, row.speedup);
-        }
         sweep.push_back(row);
         st.AddRow({row.backend, std::to_string(threads), FormatDouble(ms, 2),
                    FormatDouble(row.speedup, 2) + "x",
@@ -259,11 +259,38 @@ int main() {
       }
     }
     st.Print(std::cout);
+
+    // The single-thread GEMM speedup verdict: node-loop and GEMM timed in
+    // interleaved pairs (alternating which runs first), so drift hits
+    // both sides of each ratio alike; the median per-pair ratio, with
+    // its range, is the reported speedup.
+    GnnOptions gemm_opts;
+    gemm_opts.backend = GnnBackend::kGemm;
+    gemm_opts.parallel.num_threads = 1;
+    auto run_ms = [&](const GnnOptions& opts) {
+      Timer tm;
+      Matrix y = *gnn.Run(g, x, opts);
+      return tm.Millis();
+    };
+    for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+      double loop_ms, gemm_ms;
+      if (pair % 2 == 0) {
+        loop_ms = run_ms(ref_opts);
+        gemm_ms = run_ms(gemm_opts);
+      } else {
+        gemm_ms = run_ms(gemm_opts);
+        loop_ms = run_ms(ref_opts);
+      }
+      gemm_ratios.push_back(loop_ms / gemm_ms);
+    }
+    std::sort(gemm_ratios.begin(), gemm_ratios.end());
+    const double median = gemm_ratios[gemm_ratios.size() / 2];
     std::printf(
         "substrate sweep: all configurations bit-identical → %s; "
-        "best single-thread GEMM speedup %.2fx (target ≥3x) → %s\n",
-        sweep_identical ? "OK" : "FAIL", best_1t_speedup,
-        best_1t_speedup >= 3.0 ? "OK" : "MISS");
+        "single-thread GEMM speedup median %.2fx (range %.2f–%.2fx over "
+        "%d interleaved pairs; target ≥3x) → %s\n",
+        sweep_identical ? "OK" : "FAIL", median, gemm_ratios.front(),
+        gemm_ratios.back(), kSpeedupPairs, median >= 3.0 ? "OK" : "MISS");
   }
 
   // Machine-readable mirror: sweep rows + the obs registry (gemm flop /
@@ -300,8 +327,17 @@ int main() {
       w.EndObject();
     }
     w.EndArray();
-    w.Key("best_single_thread_speedup");
-    w.Double(best_1t_speedup);
+    w.Key("single_thread_gemm_speedup");
+    w.BeginObject();
+    w.Key("pairs");
+    w.UInt(gemm_ratios.size());
+    w.Key("median");
+    w.Double(gemm_ratios[gemm_ratios.size() / 2]);
+    w.Key("min");
+    w.Double(gemm_ratios.front());
+    w.Key("max");
+    w.Double(gemm_ratios.back());
+    w.EndObject();
     w.Key("obs");
     obs::Registry::Get().WriteJson(&w);
     w.EndObject();

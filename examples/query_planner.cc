@@ -35,7 +35,7 @@ int main() {
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  const CsrSnapshot& snap = view.Csr();
   std::cout << "DBLP-synth: " << g.num_nodes() << " nodes, " << g.num_edges()
             << " edges; about[property_graph] is the rare keyword ("
             << "writes=" << snap.LabelFrequency("writes")
@@ -75,9 +75,7 @@ int main() {
   // report below covers exactly this one execution.
   obs::Registry::SetEnabled(true);
   obs::Registry::Get().Reset();
-  ExecOptions eopts;
-  eopts.snapshot = &snap;
-  Result<RowSet> rows = ExecutePlan(view, **plan, eopts);
+  Result<RowSet> rows = ExecutePlan(view, **plan);
   if (!rows.ok()) {
     std::cerr << rows.status() << "\n";
     return 1;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "oracles/reference_eval.h"
 #include "rpq/path.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 

@@ -1,4 +1,4 @@
-#include "rpq/cfpq_reference.h"
+#include "oracles/cfpq_reference.h"
 
 #include <cstddef>
 

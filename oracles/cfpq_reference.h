@@ -1,5 +1,5 @@
-#ifndef KGQ_RPQ_CFPQ_REFERENCE_H_
-#define KGQ_RPQ_CFPQ_REFERENCE_H_
+#ifndef KGQ_ORACLES_CFPQ_REFERENCE_H_
+#define KGQ_ORACLES_CFPQ_REFERENCE_H_
 
 #include <vector>
 
@@ -29,4 +29,4 @@ Result<std::vector<Bitset>> CfpqReferenceRelation(const GraphView& view,
 
 }  // namespace kgq
 
-#endif  // KGQ_RPQ_CFPQ_REFERENCE_H_
+#endif  // KGQ_ORACLES_CFPQ_REFERENCE_H_

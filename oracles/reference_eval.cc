@@ -1,4 +1,4 @@
-#include "rpq/reference_eval.h"
+#include "oracles/reference_eval.h"
 
 #include <cassert>
 #include <map>

@@ -1,5 +1,5 @@
-#ifndef KGQ_RPQ_REFERENCE_EVAL_H_
-#define KGQ_RPQ_REFERENCE_EVAL_H_
+#ifndef KGQ_ORACLES_REFERENCE_EVAL_H_
+#define KGQ_ORACLES_REFERENCE_EVAL_H_
 
 #include <vector>
 
@@ -32,4 +32,4 @@ std::vector<Path> EvalReferenceExact(const GraphView& view,
 
 }  // namespace kgq
 
-#endif  // KGQ_RPQ_REFERENCE_EVAL_H_
+#endif  // KGQ_ORACLES_REFERENCE_EVAL_H_

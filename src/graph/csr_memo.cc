@@ -10,7 +10,7 @@ namespace kgq {
 
 struct CsrMemo::Cell {
   std::once_flag once;
-  std::unique_ptr<const CsrSnapshot> csr;
+  std::shared_ptr<const CsrSnapshot> csr;
   std::atomic<bool> built{false};
 };
 
@@ -21,10 +21,18 @@ const CsrSnapshot& CsrMemo::Get(
   Cell& cell = *cell_;
   std::call_once(cell.once, [&] {
     KGQ_COUNTER_INC("graph.csr.memo_builds");
-    cell.csr = std::make_unique<const CsrSnapshot>(build());
+    cell.csr = std::make_shared<const CsrSnapshot>(build());
     cell.built.store(true, std::memory_order_release);
   });
   return *cell.csr;
+}
+
+void CsrMemo::Seed(std::shared_ptr<const CsrSnapshot> csr) {
+  Cell& cell = *cell_;
+  std::call_once(cell.once, [&] {
+    cell.csr = std::move(csr);
+    cell.built.store(true, std::memory_order_release);
+  });
 }
 
 void CsrMemo::Reset() {

@@ -14,7 +14,8 @@ class CsrSnapshot;
 ///
 /// The cell is shared between copies of a graph (the pattern of
 /// EpochSnapshot::LazyGraph in serve/delta_store.h), so copying a graph
-/// never copies or rebuilds its snapshot. The models are append-only,
+/// never copies or rebuilds its snapshot; Seed installs one a caller
+/// already holds instead of building. The models are append-only,
 /// so an edit never patches a built snapshot: the model calls Reset,
 /// which swaps in a fresh cell whenever the current one is built or
 /// shared. A copy taken before the edit keeps the old cell and never
@@ -32,6 +33,10 @@ class CsrMemo {
   /// The memoized snapshot; runs `build` on the first call only.
   /// Thread-safe against concurrent Get calls.
   const CsrSnapshot& Get(const std::function<CsrSnapshot()>& build) const;
+
+  /// Makes `csr` the memoized snapshot unless one is there (not a
+  /// build); it must equal what `build` would return.
+  void Seed(std::shared_ptr<const CsrSnapshot> csr);
 
   /// Called by the owning model on every edit, before the change.
   void Reset();

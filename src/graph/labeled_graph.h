@@ -1,6 +1,7 @@
 #ifndef KGQ_GRAPH_LABELED_GRAPH_H_
 #define KGQ_GRAPH_LABELED_GRAPH_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,12 @@ class LabeledGraph {
   /// The memoized labeled snapshot (CsrSnapshot::FromGraph), built on
   /// first use; an edit makes the next call rebuild it.
   const CsrSnapshot& Csr() const;
+
+  /// Makes `csr`, which must equal CsrSnapshot::FromGraph(*this), the
+  /// memoized snapshot without a build (a serving epoch's published CSR).
+  void SeedCsr(std::shared_ptr<const CsrSnapshot> csr) {
+    csr_.Seed(std::move(csr));
+  }
 
   /// The constant dictionary of this graph.
   Interner& dict() { return dict_; }

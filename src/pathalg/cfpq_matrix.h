@@ -28,7 +28,7 @@ namespace kgq {
 /// new facts are unioned into the relations and become the next round's
 /// deltas; the fixpoint is reached when every delta is empty. The result
 /// is canonical sorted CSR, schedule-independent, and bit-identical to
-/// the naive CYK-style reference (rpq/cfpq_reference.h) at any thread
+/// the naive CYK-style oracle (oracles/cfpq_reference.h) at any thread
 /// count — the CFPQ differential gate.
 ///
 /// obs: histogram cfpq.fixpoint_rounds (rounds to fixpoint per solve);

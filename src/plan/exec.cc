@@ -11,7 +11,7 @@
 #include "pathalg/cfpq_matrix.h"
 #include "pathalg/matrix_rpq.h"
 #include "pathalg/pairs.h"
-#include "rpq/cfpq_reference.h"
+#include "plan/stats.h"
 #include "rpq/path_nfa.h"
 #include "rpq/test_eval.h"
 
@@ -86,15 +86,14 @@ const TestExpr* EndpointNodeTest(const Regex& r, bool last) {
 
 class Executor {
  public:
-  // A snapshot of some other graph is ignored, never trusted; then, as
-  // without one, the view's memoized snapshot serves.
+  // A given snapshot is checked once, here (one of another graph is
+  // ignored); without one the view's memoized snapshot serves, unchecked.
   Executor(const GraphView& view, const ExecOptions& options)
       : view_(view),
         options_(options),
-        csr_(options.snapshot != nullptr &&
-                     options.snapshot->MatchesTopology(view.topology())
-                 ? *options.snapshot
-                 : view.Csr()) {}
+        given_(options.snapshot != nullptr &&
+               options.snapshot->MatchesTopology(view.topology())),
+        csr_(given_ ? *options.snapshot : view.Csr()) {}
 
   /// Operator dispatch plus per-request profiling: when the calling
   /// thread has a TraceContext installed (serve's "profile":true path),
@@ -388,12 +387,12 @@ class Executor {
     if (starts.empty()) return rs;
 
     const RegexPtr searched = from_dst ? Regex::Reverse(regex) : regex;
-    // Topology was checked above; a label mismatch falls back to bitset
-    // filtering inside the product, so the snapshot cannot change
-    // results.
+    // A given snapshot's topology was checked once per plan; a label
+    // mismatch falls back to bitset filtering inside the product, so it
+    // cannot change results.
     KGQ_ASSIGN_OR_RETURN(
-        PathNfa nfa, PathNfa::Compile(view_, *searched,
-                                      PathNfa::Construction::kGlushkov, &csr_));
+        PathNfa nfa, given_ ? PathNfa::CompileOnChecked(view_, *searched, csr_)
+                            : PathNfa::Compile(view_, *searched));
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
       if (dst_bound && b != dst_at) return;
@@ -421,9 +420,8 @@ class Executor {
   }
 
   /// Context-free PathAtom: the full pair relation of the grammar
-  /// nonterminal (matrix fixpoint on the planner's opt-in, the CYK-style
-  /// reference otherwise — bit-identical), then endpoint
-  /// bounds filter the relation. Unlike the regular engines there is no
+  /// nonterminal from the CFPQ matrix fixpoint, then endpoint bounds
+  /// filter the relation. Unlike the regular engines there is no
   /// single-source shortcut: the grammar's derivations are not
   /// direction-local, so the fixpoint always runs whole-graph.
   Result<RowSet> CfPathAtom(const LogicalOp& op) {
@@ -441,8 +439,7 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    const bool matrix = op.use_matrix_rpq;
-    ProfileEngine(matrix ? "cfpq-matrix" : "cfpq-ref");
+    ProfileEngine("cfpq-matrix");
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
       if (dst_bound && b != dst_at) return;
@@ -452,21 +449,11 @@ class Executor {
         rs.rows.push_back({a, b});
       }
     };
-    if (matrix) {
-      KGQ_ASSIGN_OR_RETURN(
-          BoolCsr rel,
-          CfpqSolveMatrix(csr_, grammar, nt, options_.parallel));
-      for (size_t a = 0; a < rel.num_rows; ++a) {
-        for (size_t k = rel.offsets[a]; k < rel.offsets[a + 1]; ++k) {
-          emit(static_cast<NodeId>(a), rel.cols[k]);
-        }
-      }
-    } else {
-      KGQ_ASSIGN_OR_RETURN(std::vector<Bitset> rel,
-                           CfpqReferenceRelation(view_, grammar, nt));
-      for (NodeId a = 0; a < rel.size(); ++a) {
-        rel[a].ForEach(
-            [&](size_t b) { emit(a, static_cast<NodeId>(b)); });
+    KGQ_ASSIGN_OR_RETURN(BoolCsr rel,
+                         CfpqSolveMatrix(csr_, grammar, nt, options_.parallel));
+    for (size_t a = 0; a < rel.num_rows; ++a) {
+      for (size_t k = rel.offsets[a]; k < rel.offsets[a + 1]; ++k) {
+        emit(static_cast<NodeId>(a), rel.cols[k]);
       }
     }
     KGQ_COUNTER_ADD("plan.rows.path_atom", rs.rows.size());
@@ -642,6 +629,7 @@ class Executor {
 
   const GraphView& view_;
   const ExecOptions& options_;
+  const bool given_;  // csr_ is the caller's checked snapshot.
   const CsrSnapshot& csr_;
 };
 
@@ -652,6 +640,27 @@ Result<RowSet> ExecutePlan(const GraphView& view, const LogicalOp& root,
   KGQ_SPAN("plan.execute");
   Executor executor(view, options);
   return executor.Exec(root);
+}
+
+Result<LogicalOpPtr> PlanOverView(
+    const GraphView& view, const ConjunctiveQuery& query,
+    const PlannerOptions& planner,
+    const std::map<std::string, size_t>* node_label_counts) {
+  return PlanQuery(query, GraphStats::From(&view, &view.Csr(),
+                                           node_label_counts),
+                   planner);
+}
+
+Result<RowSet> EvalQuery(
+    const GraphView& view, const ConjunctiveQuery& query,
+    const QueryOptions& options,
+    const std::map<std::string, size_t>* node_label_counts) {
+  KGQ_ASSIGN_OR_RETURN(
+      LogicalOpPtr plan,
+      PlanOverView(view, query, options.planner, node_label_counts));
+  ExecOptions eopts;
+  eopts.parallel = options.parallel;
+  return ExecutePlan(view, *plan, eopts);
 }
 
 }  // namespace kgq

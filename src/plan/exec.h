@@ -1,12 +1,14 @@
 #ifndef KGQ_PLAN_EXEC_H_
 #define KGQ_PLAN_EXEC_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
 #include "graph/graph_view.h"
 #include "plan/ir.h"
+#include "plan/optimizer.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -25,10 +27,11 @@ struct ExecOptions {
   /// fans out per start node). Results are identical for every thread
   /// count.
   ParallelOptions parallel;
-  /// CSR snapshot of the view's topology: EdgeScan reads its label
-  /// partitions and PathAtom products step over it. Null, or a snapshot
-  /// of another topology (ignored, never trusted), means the view's
-  /// memoized one (GraphView::Csr()). Must outlive the call.
+  /// Null (the rule): every operator reads view.Csr(), unchecked. Else
+  /// a snapshot of the view's topology, checked once per plan (one of
+  /// another topology is ignored), that the leaves read instead; outside
+  /// tests only perfbench's traced probe passes one. Must outlive the
+  /// call.
   const CsrSnapshot* snapshot = nullptr;
 };
 
@@ -36,8 +39,8 @@ struct ExecOptions {
 /// The root must be the planner's Project (any op works, but only
 /// Project canonicalizes: sorted, deduplicated, limited).
 ///
-/// Every operator materializes its output — the memory caveat of
-/// ExecuteMatch applies to huge intermediate joins.
+/// Every operator materializes its output: huge intermediate joins cost
+/// memory.
 ///
 /// Leaves are evaluated from their bound side when that is cheaper,
 /// decided at run time from exact counts (there is no option for it):
@@ -59,7 +62,8 @@ struct ExecOptions {
 ///    one node. Target-side searches run the reversed regex
 ///    (Regex::Reverse). The NFA engine runs the searches in ParallelFor
 ///    chunks, the matrix engine as one MatrixReachFromAll.
-///  * Context-free atoms always compute their whole relation.
+///  * Context-free atoms always compute their whole relation, on the
+///    CFPQ matrix engine.
 /// A bound leaf yields a subset of the whole leaf's rows that loses no
 /// row its parent can use, and Project canonicalizes, so the results
 /// are bit-identical to whole-graph evaluation. In a profile, a bound
@@ -75,6 +79,27 @@ struct ExecOptions {
 /// match counts.
 Result<RowSet> ExecutePlan(const GraphView& view, const LogicalOp& root,
                            const ExecOptions& options = {});
+
+/// Knobs of one planned query, the same for every front-end.
+struct QueryOptions {
+  ParallelOptions parallel;
+  PlannerOptions planner;
+};
+
+/// PlanQuery over GraphStats of `view` with its own adjacency's label
+/// statistics (view.Csr()) and, when given, node-label tallies (label →
+/// node count; the server's per-epoch ones). EXPLAIN renders this plan.
+Result<LogicalOpPtr> PlanOverView(
+    const GraphView& view, const ConjunctiveQuery& query,
+    const PlannerOptions& planner = {},
+    const std::map<std::string, size_t>* node_label_counts = nullptr);
+
+/// The one planned-query path of the CRPQ, MATCH and BGP front-ends and
+/// the server: PlanOverView, then ExecutePlan on view.Csr().
+Result<RowSet> EvalQuery(
+    const GraphView& view, const ConjunctiveQuery& query,
+    const QueryOptions& options = {},
+    const std::map<std::string, size_t>* node_label_counts = nullptr);
 
 }  // namespace kgq
 

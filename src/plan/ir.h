@@ -101,13 +101,12 @@ class LogicalOp {
   /// direction (the ℓ⁻ atom).
   std::string label;
   bool backward = false;
-  /// kPathAtom: evaluate on the boolean-matrix engine — matrix RPQ
-  /// (pathalg/matrix_rpq) for regular atoms, the CFPQ fixpoint
-  /// (pathalg/cfpq_matrix) for context-free atoms — instead of the
-  /// per-source/naive reference path. Set by the planner's matrix_rpq
-  /// rule; the executor honors it only when a usable snapshot is
-  /// attached (the engines are bit-identical, so the flag is pure
-  /// physics — never semantics).
+  /// kPathAtom: evaluate on a boolean-matrix engine. Regular atoms run
+  /// matrix RPQ (pathalg/matrix_rpq) instead of per-source searches
+  /// when the planner's matrix_rpq rule sets it (the engines are
+  /// bit-identical, so the flag is pure physics — never semantics);
+  /// context-free atoms always carry it, for the CFPQ fixpoint
+  /// (pathalg/cfpq_matrix) is their only engine.
   bool use_matrix_rpq = false;
   /// kNodeScan / kFilter: the test (null = none).
   TestPtr test;

@@ -95,18 +95,15 @@ bool SharesVar(const LogicalOp& a, const LogicalOp& b) {
   return false;
 }
 
-/// The matrix_rpq rule: should this PathAtom leaf run on the boolean-
-/// matrix engine (matrix RPQ for regular atoms, the CFPQ fixpoint for
-/// context-free ones)? kAuto picks it only for bulk evaluations — no
+/// The matrix_rpq rule: should this regular PathAtom leaf run on the
+/// matrix RPQ engine? kAuto picks it only for bulk evaluations — no
 /// bound endpoint (a bound source is one BFS, which the fixpoint's
-/// dense N-column frontier would dwarf; context-free atoms always
-/// compute the full relation, but a bound endpoint still signals a
-/// selective query), a graph big enough for word-level batching to pay
-/// (≥ 64 nodes, one frontier word), and an estimated pair count of at
-/// least one per node (a dense-enough relation that the per-source /
-/// naive evaluation would re-traverse shared structure n times over).
-/// `est_pairs` is the atom's pair-relation estimate
-/// (EstimatePathPairs / EstimateCfpqPairs), before endpoint scaling.
+/// dense N-column frontier would dwarf), a graph big enough for
+/// word-level batching to pay (≥ 64 nodes, one frontier word), and an
+/// estimated pair count of at least one per node (a dense-enough
+/// relation that the per-source evaluation would re-traverse shared
+/// structure n times over). `est_pairs` is the atom's pair-relation
+/// estimate (EstimatePathPairs), before endpoint scaling.
 bool ChooseMatrixRpq(const LogicalOp& leaf, const GraphStats& stats,
                      MatrixRpqMode mode, double est_pairs) {
   switch (mode) {
@@ -265,17 +262,12 @@ Result<LogicalOpPtr> PlanQuery(const ConjunctiveQuery& query,
         defer_restrictions(a.src);
         defer_restrictions(a.dst);
       }
-      double est_pairs =
+      leaf->est_rows =
           stats.EstimateCfpqPairs(*a.path->grammar(), a.path->nonterminal());
-      leaf->est_rows = est_pairs;
       if (a.src == a.dst) leaf->est_rows /= n;
       if (leaf->has_bound_src) leaf->est_rows /= n;
       if (leaf->has_bound_dst) leaf->est_rows /= n;
-      leaf->use_matrix_rpq =
-          ChooseMatrixRpq(*leaf, stats, options.matrix_rpq, est_pairs);
-      if (leaf->use_matrix_rpq) {
-        KGQ_COUNTER_INC("plan.optimizer.matrix_rpq");
-      }
+      leaf->use_matrix_rpq = true;  // The CFPQ fixpoint is the only engine.
       if (options.push_filters) {
         if (TestPtr t = test_of(a.src)) {
           leaf = MakeTestFilter(std::move(leaf), a.src, std::move(t), stats);

@@ -7,16 +7,18 @@
 
 namespace kgq {
 
-/// Physical-engine choice for PathAtom leaves (the matrix_rpq rule).
+/// Physical-engine choice for regular PathAtom leaves (the matrix_rpq
+/// rule). Context-free leaves always run the CFPQ matrix fixpoint.
 enum class MatrixRpqMode {
-  /// Never annotate: every PathAtom runs on the configuration-BFS
-  /// engine (part of the all-off naive baseline).
+  /// Never annotate: every regular PathAtom runs on the
+  /// configuration-BFS engine (part of the all-off naive baseline).
   kOff,
   /// Cost-based: pick the matrix engine for bulk (unbound) atoms whose
   /// estimated pair count is large enough that the one-SpGEMM-per-
   /// generation fixpoint beats n independent BFS runs; see PlanQuery.
   kAuto,
-  /// Annotate every PathAtom (the force-matrix knob benches use).
+  /// Annotate every regular PathAtom (the force-matrix knob benches
+  /// use).
   kAlways,
 };
 
@@ -39,13 +41,12 @@ struct PlannerOptions {
   /// EdgeScan(label) — executed over the snapshot's contiguous label
   /// partitions instead of a product-automaton run.
   bool edge_scan_fastpath = true;
-  /// Annotate PathAtom leaves with the boolean-matrix engine: matrix
-  /// RPQ (pathalg/matrix_rpq) for regular atoms, the CFPQ fixpoint
-  /// (pathalg/cfpq_matrix) for context-free atoms. Purely physical:
-  /// the engines return bit-identical rows, the rule only moves the
-  /// work onto masked SpGEMM sweeps when the atom is a bulk all-pairs
-  /// evaluation (EstimateCfpqPairs drives the context-free cost
-  /// estimate).
+  /// Annotate regular PathAtom leaves with the matrix RPQ engine
+  /// (pathalg/matrix_rpq). Purely physical: the engines return
+  /// bit-identical rows, the rule only moves the work onto masked
+  /// SpGEMM sweeps when the atom is a bulk all-pairs evaluation.
+  /// Context-free leaves are always annotated: the CFPQ fixpoint
+  /// (pathalg/cfpq_matrix) is their only engine.
   MatrixRpqMode matrix_rpq = MatrixRpqMode::kAuto;
 };
 

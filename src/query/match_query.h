@@ -6,7 +6,6 @@
 
 #include "graph/graph_view.h"
 #include "plan/exec.h"
-#include "plan/optimizer.h"
 #include "rpq/regex.h"
 #include "util/result.h"
 
@@ -36,9 +35,9 @@ struct NodePattern {
 /// * each hop is any expression of the Section 4 regex grammar, or a
 ///   declared grammar reference;
 /// * WHERE adds property-equality conjuncts on declared variables;
-/// * per-hop evaluation uses existential pair semantics
-///   (pathalg/pairs.h; rpq/cfpq_reference.h for context-free hops); the
-///   chain is joined hop by hop;
+/// * each hop has existential pair semantics (pathalg/pairs.h; the
+///   CFPQ relation, pathalg/cfpq_matrix.h, for context-free hops); the
+///   chain is a conjunction of its hops;
 /// * RETURN projects (deduplicated, sorted rows); LIMIT truncates.
 struct MatchQuery {
   /// Declared grammars, in preamble order (names unique).
@@ -62,38 +61,18 @@ struct QueryResult {
 /// Parses the MATCH grammar above. Keywords are case-insensitive.
 Result<MatchQuery> ParseMatchQuery(std::string_view text);
 
-/// Reference evaluator: joins the chain hop by hop in textual order with
-/// per-hop AllPairs relations. Retained as the oracle the planner is
-/// differentially tested against (tests/test_plan_differential.cc);
-/// production execution goes through ExecuteMatchPlanned. Beware: the
-/// full solution set is materialized before projection; chains with huge
-/// joins cost memory.
-Result<QueryResult> ExecuteMatch(const GraphView& view,
-                                 const MatchQuery& query);
-
 /// Lowers the MATCH chain to the shared logical IR (plan/ir.h): one
 /// PatternAtom per hop, one node-test entry per restricted variable, the
 /// RETURN list as projection. Fails on malformed chains
 /// (nodes.size() != paths.size() + 1 or no hops).
 Result<ConjunctiveQuery> CompileMatch(const MatchQuery& query);
 
-/// Knobs for planned MATCH execution.
-struct MatchPlanOptions {
-  ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology, as in CrpqOptions: label
-  /// statistics for the planner and the executor's adjacency. Null or
-  /// mismatched (ignored): no label statistics, and the executor reads
-  /// the view's memoized snapshot.
-  const CsrSnapshot* snapshot = nullptr;
-  PlannerOptions planner;
-};
-
-/// Compile → optimize → execute through the unified physical operators.
-/// Produces exactly ExecuteMatch's rows (sorted, deduplicated, limited)
-/// for every PlannerOptions configuration and thread count.
+/// Compile → EvalQuery (plan/exec.h). Produces exactly ExecuteMatch's
+/// rows (oracles/match_reference.h: sorted, deduplicated, limited) for
+/// every PlannerOptions configuration and thread count.
 Result<QueryResult> ExecuteMatchPlanned(const GraphView& view,
                                         const MatchQuery& query,
-                                        const MatchPlanOptions& options = {});
+                                        const QueryOptions& options = {});
 
 /// Parse + planned execution convenience.
 Result<QueryResult> RunMatch(const GraphView& view, std::string_view text);

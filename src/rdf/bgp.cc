@@ -6,8 +6,6 @@
 #include <tuple>
 
 #include "pathalg/pairs.h"
-#include "plan/exec.h"
-#include "plan/stats.h"
 #include "rdf/rdf_view.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
@@ -218,7 +216,7 @@ Result<ConjunctiveQuery> CompileBgp(const std::vector<TriplePattern>& patterns,
 
 Result<std::vector<Binding>> EvalBgpPlanned(
     const TripleStore& store, const std::vector<TriplePattern>& patterns,
-    const BgpPlanOptions& options) {
+    const QueryOptions& options) {
   RdfGraphView view(store);
   Result<ConjunctiveQuery> cq = CompileBgp(patterns, view);
   if (!cq.ok()) {
@@ -233,14 +231,7 @@ Result<std::vector<Binding>> EvalBgpPlanned(
   bool ask_query = cq->projection.empty();
   if (ask_query) cq->projection.push_back(cq->bound.begin()->first);
 
-  const CsrSnapshot* snap = &view.Csr();
-  GraphStats stats = GraphStats::From(&view, snap);
-  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
-                       PlanQuery(*cq, stats, options.planner));
-  ExecOptions eopts;
-  eopts.parallel = options.parallel;
-  eopts.snapshot = snap;
-  KGQ_ASSIGN_OR_RETURN(RowSet rows, ExecutePlan(view, *plan, eopts));
+  KGQ_ASSIGN_OR_RETURN(RowSet rows, EvalQuery(view, *cq, options));
 
   std::vector<Binding> out;
   if (ask_query) {

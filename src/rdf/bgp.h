@@ -5,12 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "plan/exec.h"
 #include "plan/ir.h"
-#include "plan/optimizer.h"
 #include "rdf/triple_store.h"
 #include "rpq/regex.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace kgq {
 
@@ -63,20 +62,15 @@ Result<std::vector<Binding>> EvalBgp(
 Result<ConjunctiveQuery> CompileBgp(const std::vector<TriplePattern>& patterns,
                                     const RdfGraphView& view);
 
-/// Knobs for planned BGP evaluation.
-struct BgpPlanOptions {
-  ParallelOptions parallel;
-  PlannerOptions planner;
-};
-
-/// Plans and executes the BGP through the unified operators, then maps
-/// rows back to solution Bindings (sorted, distinct — exactly EvalBgp's
-/// output). Patterns with variable predicates fall back to EvalBgp.
+/// Compile → EvalQuery (plan/exec.h) over an RdfGraphView of the
+/// store, then maps rows back to solution Bindings (sorted, distinct —
+/// exactly EvalBgp's output). Patterns with variable predicates fall
+/// back to EvalBgp.
 /// An all-constant pattern set yields EvalBgp's convention: one empty
 /// binding if the pattern holds, none otherwise.
 Result<std::vector<Binding>> EvalBgpPlanned(
     const TripleStore& store, const std::vector<TriplePattern>& patterns,
-    const BgpPlanOptions& options = {});
+    const QueryOptions& options = {});
 
 /// Parses "?x rides ?y . ?y label bus" into patterns. Terms are
 /// whitespace-separated; '?'-prefixed terms are variables; patterns are

@@ -8,7 +8,6 @@
 
 #include "graph/graph_view.h"
 #include "plan/exec.h"
-#include "plan/optimizer.h"
 #include "rpq/regex.h"
 #include "util/result.h"
 
@@ -66,37 +65,12 @@ Result<Crpq> ParseCrpq(std::string_view text);
 /// undeclared variable.
 Result<ConjunctiveQuery> CompileCrpq(const Crpq& q);
 
-/// Knobs for planned CRPQ execution.
-struct CrpqOptions {
-  ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology: the planner's label
-  /// statistics, and the adjacency the executor reads. Null, or a
-  /// mismatched snapshot (ignored), plans without label statistics and
-  /// executes on the view's memoized snapshot.
-  const CsrSnapshot* snapshot = nullptr;
-  PlannerOptions planner;
-};
-
-/// Compile → optimize (PlanQuery) → execute (ExecutePlan). Rows are
-/// canonical: sorted, deduplicated, limited — identical to
-/// EvalCrpqReference for every PlannerOptions configuration, snapshot
-/// presence, and thread count.
+/// Compile → EvalQuery (plan/exec.h). Rows are canonical: sorted,
+/// deduplicated, limited — identical to EvalCrpqReference
+/// (oracles/crpq_reference.h) for every PlannerOptions configuration
+/// and thread count.
 Result<RowSet> EvalCrpq(const GraphView& view, const Crpq& q,
-                        const CrpqOptions& options = {});
-
-/// Reference oracle: per-atom pair relations (regular atoms via
-/// AllPairs with endpoint tests folded into the regex; context-free
-/// atoms via the naive CYK-style CfpqReferenceRelation with endpoint
-/// tests masked onto the relation), nested-loop joined by DFS in
-/// textual order, test-only variables extended by node scans, then the
-/// canonical sort/dedup/limit. Sequential, no planner — the ground
-/// truth tests/test_plan_differential.cc and
-/// tests/test_cfpq_differential.cc check EvalCrpq against.
-Result<RowSet> EvalCrpqReference(const GraphView& view, const Crpq& q);
-
-/// Parse + planned execution convenience.
-Result<RowSet> RunCrpq(const GraphView& view, std::string_view text,
-                       const CrpqOptions& options = {});
+                        const QueryOptions& options = {});
 
 }  // namespace kgq
 

@@ -22,9 +22,7 @@ class TextScanner;
 ///                     the NFA engine or the boolean-matrix RPQ engine;
 ///   * kContextFree  — a nonterminal of a context-free grammar,
 ///                     evaluated as a grammar-driven fixpoint over
-///                     per-label boolean matrices (pathalg/cfpq_matrix.h)
-///                     or the naive CYK-style reference
-///                     (rpq/cfpq_reference.h).
+///                     per-label boolean matrices (pathalg/cfpq_matrix.h).
 ///
 /// Context-free atoms are the expressiveness step the tutorial's CRPQ
 /// section gestures toward but never reaches: same-generation, matched

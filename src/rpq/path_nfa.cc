@@ -10,6 +10,26 @@ namespace kgq {
 Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
                                  Construction construction,
                                  const CsrSnapshot* snapshot) {
+  KGQ_ASSIGN_OR_RETURN(PathNfa nfa, Build(view, regex, construction));
+  if (snapshot != nullptr) {
+    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(snapshot));
+  } else {
+    nfa.Attach(view.Csr(), /*own_memo=*/true);
+  }
+  return nfa;
+}
+
+Result<PathNfa> PathNfa::CompileOnChecked(const GraphView& view,
+                                          const Regex& regex,
+                                          const CsrSnapshot& checked) {
+  KGQ_ASSIGN_OR_RETURN(PathNfa nfa,
+                       Build(view, regex, Construction::kGlushkov));
+  nfa.Attach(checked, /*own_memo=*/false);
+  return nfa;
+}
+
+Result<PathNfa> PathNfa::Build(const GraphView& view, const Regex& regex,
+                               Construction construction) {
   KGQ_SPAN("rpq.compile");
   KGQ_COUNTER_INC("rpq.compile.calls");
   QueryAutomaton qa = construction == Construction::kGlushkov
@@ -122,11 +142,6 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
       }
     }
   }
-  if (snapshot != nullptr) {
-    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(snapshot));
-  } else {
-    nfa.Attach(view.Csr());
-  }
   return nfa;
 }
 
@@ -140,7 +155,7 @@ void PathNfa::RecordAtomLabel(const TestExpr& test) {
 
 Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
   if (snapshot == nullptr) {
-    Attach(view_->Csr());
+    Attach(view_->Csr(), /*own_memo=*/true);
     return Status::OK();
   }
   KGQ_COUNTER_INC("rpq.snapshot_attaches");
@@ -152,29 +167,34 @@ Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
         std::to_string(num_nodes_) + " / " +
         std::to_string(view_->num_edges()) + ")");
   }
-  Attach(*snapshot);
+  Attach(*snapshot, /*own_memo=*/false);
   return Status::OK();
 }
 
-void PathNfa::Attach(const CsrSnapshot& snapshot) {
+void PathNfa::Attach(const CsrSnapshot& snapshot, bool own_memo) {
   // Resolve pure-label atoms to the snapshot's dense label ids. The
+  // view's own memo spells its labels by the GraphView contract: a
+  // label the view resolves has exactly its partition's edges, one it
+  // does not (a vector graph's ⊥) has none. Any other snapshot's
   // partition is only trusted when it reproduces the compiled match
   // bitset exactly — snapshots of the graph the query was compiled
-  // against pass; a topology-equal snapshot with different labels (or
-  // a vector graph's ⊥ row) degrades to bitset filtering instead of
-  // changing results.
+  // against pass; a topology-equal snapshot with different labels
+  // degrades to bitset filtering instead of changing results.
   size_t m = view_->num_edges();
   atom_csr_label_.assign(edge_match_.size(), kAtomFiltered);
   for (size_t a = 0; a < edge_match_.size(); ++a) {
     if (!atom_pure_label_[a].has_value()) continue;
     std::optional<LabelId> lab = snapshot.FindLabel(*atom_pure_label_[a]);
-    if (!lab.has_value()) {
+    if (!lab.has_value() ||
+        (own_memo && !view_->ResolveLabel(*atom_pure_label_[a]))) {
       if (edge_match_[a].None()) atom_csr_label_[a] = kAtomDead;
       continue;
     }
     bool exact = true;
-    for (EdgeId e = 0; e < m && exact; ++e) {
-      exact = (edge_match_[a].Test(e) == (snapshot.EdgeLabel(e) == *lab));
+    if (!own_memo) {
+      for (EdgeId e = 0; e < m && exact; ++e) {
+        exact = (edge_match_[a].Test(e) == (snapshot.EdgeLabel(e) == *lab));
+      }
     }
     if (exact) atom_csr_label_[a] = *lab;
   }

@@ -61,15 +61,21 @@ class PathNfa {
   /// Compiles `regex` against `view`. Precomputes per-atom match bitsets
   /// and per-node ε-closures; the view must outlive the PathNfa.
   ///
-  /// Steps are read from a CsrSnapshot of the view's topology:
-  /// `snapshot` when given (verified as by AttachSnapshot; a mismatch
-  /// fails), else the view's memoized one (GraphView::Csr(), built on
-  /// first use). A caller holding a snapshot — the server's epoch CSR —
-  /// passes it, so the view's own memo is never built.
+  /// Steps are read from a CsrSnapshot of the view's topology: the
+  /// view's memoized one (GraphView::Csr(), built on first use and
+  /// trusted without a check), or `snapshot` when given (checked as by
+  /// AttachSnapshot; a mismatch fails).
   static Result<PathNfa> Compile(
       const GraphView& view, const Regex& regex,
       Construction construction = Construction::kGlushkov,
       const CsrSnapshot* snapshot = nullptr);
+
+  /// Glushkov Compile on `checked`, whose topology the caller has
+  /// checked (the executor does it once per plan, not per atom). Labels
+  /// resolve as by AttachSnapshot.
+  static Result<PathNfa> CompileOnChecked(const GraphView& view,
+                                          const Regex& regex,
+                                          const CsrSnapshot& checked);
 
   /// Re-targets step iteration to `snapshot`, an immutable CSR snapshot
   /// of the compiled view's topology (nullptr: the view's memoized
@@ -311,9 +317,14 @@ class PathNfa {
   /// test is a plain ℓ atom (resolved against snapshots at attach time).
   void RecordAtomLabel(const TestExpr& test);
 
+  /// Compile before any snapshot is attached.
+  static Result<PathNfa> Build(const GraphView& view, const Regex& regex,
+                               Construction construction);
+
   /// Attaches a snapshot already known to match the view's topology:
-  /// resolves the pure-label atoms against it.
-  void Attach(const CsrSnapshot& snapshot);
+  /// resolves the pure-label atoms against it. `own_memo`: the snapshot
+  /// is the view's Csr(), whose labels need no check.
+  void Attach(const CsrSnapshot& snapshot, bool own_memo);
 
   const GraphView* view_ = nullptr;
   const CsrSnapshot* csr_ = nullptr;

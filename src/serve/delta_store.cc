@@ -18,6 +18,7 @@ const LabeledGraph& EpochSnapshot::graph() const {
                  csr->LabelName(csr->EdgeLabel(e)))
           .value();
     }
+    g->SeedCsr(csr);
     lazy_graph->graph = std::move(g);
   });
   return *lazy_graph->graph;
@@ -131,6 +132,7 @@ std::shared_ptr<const CsrSnapshot> DeltaStore::FullCsrLocked(
   const LabeledGraph& g = *graph;
   auto csr = std::make_shared<CsrSnapshot>(CsrSnapshot::FromLabeledEdges(
       g.topology(), [&g](EdgeId e) { return g.EdgeLabelString(e); }));
+  graph->SeedCsr(csr);
   // The full path already paid for the graph: seed the lazy cell.
   std::call_once(snap->lazy_graph->once, [&] {
     snap->lazy_graph->graph = std::move(graph);

@@ -99,6 +99,7 @@ struct EpochSnapshot {
   /// from-scratch canonical build constructs. Built lazily on first use
   /// (the plan compiler and scalar engines need it; the CSR-native
   /// kernels do not), or pre-seeded by the full-rebuild publish path.
+  /// Its memoized Csr() is `csr` itself, seeded, never built.
   /// Thread-safe; snapshots with identical content share one build.
   const LabeledGraph& graph() const;
 

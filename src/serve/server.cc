@@ -19,7 +19,6 @@
 #include "obs/json_writer.h"
 #include "obs/obs.h"
 #include "plan/exec.h"
-#include "plan/stats.h"
 #include "query/match_query.h"
 #include "rdf/bgp.h"
 #include "rdf/convert.h"
@@ -180,9 +179,9 @@ Result<ConjunctiveQuery> CompilePrepared(const Server::PreparedQuery& prep,
   return cq;
 }
 
-/// Compile → plan → execute one prepared query against one epoch. The
-/// uncached compute path shared by the server and the replay oracle.
-/// With `capture_profile`, execution runs under a request-scoped
+/// Compile → EvalQuery one prepared query against one epoch (whose
+/// graph's Csr() is the published CSR): the uncached compute path
+/// shared by the server and the replay oracle. With `capture_profile`, the query runs under a request-scoped
 /// TraceContext and the answer carries the per-operator profile tree.
 Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
                                     const EpochSnapshot& snap,
@@ -193,12 +192,8 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
                        CompilePrepared(prep, snap, &ask));
   LabeledGraphView view(snap.graph());
-  GraphStats stats = GraphStats::From(&view, snap.csr.get(),
-                                      snap.node_label_counts.get());
-  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(cq, stats, planner));
-  ExecOptions eopts;
-  eopts.parallel = prep.parallel;
-  eopts.snapshot = snap.csr.get();
+  const QueryOptions options{prep.parallel, planner};
+  const auto* counts = snap.node_label_counts.get();
 
   // The enable decision is snapshotted once, here: a concurrent
   // SetEnabled flip mid-execution can therefore never produce a torn
@@ -209,10 +204,10 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   if (capture_profile && obs::kCompiledIn && obs::Registry::Enabled()) {
     obs::TraceContext ctx;
     obs::ScopedTrace trace(&ctx);
-    KGQ_ASSIGN_OR_RETURN(rows, ExecutePlan(view, *plan, eopts));
+    KGQ_ASSIGN_OR_RETURN(rows, EvalQuery(view, cq, options, counts));
     profile = ctx.TakeProfile();
   } else {
-    KGQ_ASSIGN_OR_RETURN(rows, ExecutePlan(view, *plan, eopts));
+    KGQ_ASSIGN_OR_RETURN(rows, EvalQuery(view, cq, options, counts));
   }
 
   QueryAnswer answer;
@@ -227,7 +222,7 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   return answer;
 }
 
-/// Compile → plan → EXPLAIN (uncached; a debugging surface).
+/// Compile → PlanOverView → EXPLAIN (uncached; a debugging surface).
 Result<std::string> ExplainPrepared(const Server::PreparedQuery& prep,
                                     const EpochSnapshot& snap,
                                     const PlannerOptions& planner) {
@@ -235,9 +230,9 @@ Result<std::string> ExplainPrepared(const Server::PreparedQuery& prep,
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
                        CompilePrepared(prep, snap, &ask));
   LabeledGraphView view(snap.graph());
-  GraphStats stats = GraphStats::From(&view, snap.csr.get(),
-                                      snap.node_label_counts.get());
-  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(cq, stats, planner));
+  KGQ_ASSIGN_OR_RETURN(
+      LogicalOpPtr plan,
+      PlanOverView(view, cq, planner, snap.node_label_counts.get()));
   return ExplainPlan(*plan);
 }
 

@@ -20,7 +20,10 @@
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "obs/trace.h"
+#include "oracles/crpq_reference.h"
+#include "oracles/match_reference.h"
 #include "pathalg/pairs.h"
+#include "plan/exec.h"
 #include "query/match_query.h"
 #include "rdf/bgp.h"
 #include "rdf/convert.h"
@@ -119,8 +122,9 @@ auto Profiled(EngineTally* tally, Fn&& eval) {
 }
 
 /// Planned CRPQ evaluation equals the reference at 1 and 4 threads,
-/// with the matrix engine forced on and off, with and without a
-/// snapshot. Every run's profile goes into `tally`.
+/// with the matrix engine forced on and off, on the view's own snapshot
+/// and on a given one (ExecOptions::snapshot). Every run's profile goes
+/// into `tally`.
 void ExpectCrpqMatchesReference(const LabeledGraph& g, const Crpq& q,
                                 EngineTally* tally) {
   SCOPED_TRACE(q.ToString());
@@ -132,12 +136,19 @@ void ExpectCrpqMatchesReference(const LabeledGraph& g, const Crpq& q,
     for (bool with_snapshot : {true, false}) {
       for (MatrixRpqMode matrix :
            {MatrixRpqMode::kOff, MatrixRpqMode::kAlways}) {
-        CrpqOptions opts;
+        QueryOptions opts;
         opts.parallel.num_threads = threads;
-        opts.snapshot = with_snapshot ? &snap : nullptr;
         opts.planner.matrix_rpq = matrix;
-        Result<RowSet> got =
-            Profiled(tally, [&] { return EvalCrpq(view, q, opts); });
+        Result<RowSet> got = Profiled(tally, [&]() -> Result<RowSet> {
+          if (!with_snapshot) return EvalCrpq(view, q, opts);
+          KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileCrpq(q));
+          KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
+                               PlanOverView(view, cq, opts.planner));
+          ExecOptions eopts;
+          eopts.parallel = opts.parallel;
+          eopts.snapshot = &snap;
+          return ExecutePlan(view, *plan, eopts);
+        });
         ASSERT_TRUE(got.ok()) << got.status();
         ASSERT_EQ(got->schema, ref->schema);
         ASSERT_EQ(got->rows, ref->rows)
@@ -280,7 +291,7 @@ TEST_P(BindDifferential, TargetBoundLeavesMatchNaiveBgp) {
       for (size_t threads : {size_t{1}, size_t{4}}) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kOff, MatrixRpqMode::kAlways}) {
-          BgpPlanOptions opts;
+          QueryOptions opts;
           opts.parallel.num_threads = threads;
           opts.planner.matrix_rpq = matrix;
           Result<std::vector<Binding>> got = Profiled(
@@ -366,7 +377,6 @@ TEST(BindShapes, ServeAndBulkShapesMatchOracles) {
   const ShapeGraph s = MakeShapeGraph();
   ASSERT_FALSE(s.keywords.empty());
   LabeledGraphView view(s.graph);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(s.graph);
   EngineTally tally;
 
   std::vector<std::string> bgp, match, crpq;
@@ -414,7 +424,7 @@ TEST(BindShapes, ServeAndBulkShapesMatchOracles) {
         ASSERT_TRUE(patterns.ok()) << patterns.status();
         Result<std::vector<Binding>> ref = EvalBgp(s.store, *patterns);
         ASSERT_TRUE(ref.ok()) << ref.status();
-        BgpPlanOptions opts;
+        QueryOptions opts;
         opts.parallel.num_threads = threads;
         opts.planner.matrix_rpq = matrix;
         Result<std::vector<Binding>> got = Profiled(
@@ -428,9 +438,8 @@ TEST(BindShapes, ServeAndBulkShapesMatchOracles) {
         ASSERT_TRUE(q.ok()) << q.status();
         Result<QueryResult> ref = ExecuteMatch(view, *q);
         ASSERT_TRUE(ref.ok()) << ref.status();
-        MatchPlanOptions opts;
+        QueryOptions opts;
         opts.parallel.num_threads = threads;
-        opts.snapshot = &snap;
         opts.planner.matrix_rpq = matrix;
         Result<QueryResult> got = Profiled(
             &tally, [&] { return ExecuteMatchPlanned(view, *q, opts); });
@@ -444,9 +453,8 @@ TEST(BindShapes, ServeAndBulkShapesMatchOracles) {
         ASSERT_TRUE(q.ok()) << q.status();
         Result<RowSet> ref = EvalCrpqReference(view, *q);
         ASSERT_TRUE(ref.ok()) << ref.status();
-        CrpqOptions opts;
+        QueryOptions opts;
         opts.parallel.num_threads = threads;
-        opts.snapshot = &snap;
         opts.planner.matrix_rpq = matrix;
         Result<RowSet> got =
             Profiled(&tally, [&] { return EvalCrpq(view, *q, opts); });

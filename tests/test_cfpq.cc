@@ -13,13 +13,15 @@
 
 #include "graph/csr_snapshot.h"
 #include "graph/labeled_graph.h"
+#include "oracles/cfpq_reference.h"
+#include "oracles/crpq_reference.h"
+#include "oracles/match_reference.h"
 #include "pathalg/cfpq_matrix.h"
 #include "plan/exec.h"
 #include "plan/ir.h"
 #include "plan/optimizer.h"
 #include "plan/stats.h"
 #include "query/match_query.h"
-#include "rpq/cfpq_reference.h"
 #include "rpq/crpq.h"
 #include "rpq/path_expr.h"
 #include "util/text_scanner.h"
@@ -229,31 +231,34 @@ TEST(CfpqSemanticsTest, NonStartNonterminalAddressable) {
 
 // ----------------------------------------------------- planner + executor
 
+// The CFPQ matrix fixpoint is the only engine of a context-free atom:
+// the matrix_rpq mode governs regular atoms only.
 TEST(CfpqPlanTest, ExplainShowsCfpqMatrixEngine) {
   Result<Crpq> q = ParseCrpq(
       "grammar SG { SG -> up SG up^- | up up^- } q(x, y) :- "
-      "(x) -[ SG ]-> (y)");
+      "(x) -[ SG ]-> (y), (y) -[ up ]-> (z)");
   ASSERT_TRUE(q.ok()) << q.status();
   Result<ConjunctiveQuery> cq = CompileCrpq(*q);
   ASSERT_TRUE(cq.ok());
   GraphStats stats;
-  PlannerOptions popts;
-  popts.matrix_rpq = MatrixRpqMode::kAlways;
-  Result<LogicalOpPtr> plan = PlanQuery(*cq, stats, popts);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  std::string explain = ExplainPlan(**plan);
-  EXPECT_NE(explain.find("engine=cfpq-matrix"), std::string::npos)
-      << explain;
-  popts.matrix_rpq = MatrixRpqMode::kOff;
-  plan = PlanQuery(*cq, stats, popts);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(ExplainPlan(**plan).find("engine="), std::string::npos);
+  for (MatrixRpqMode mode :
+       {MatrixRpqMode::kOff, MatrixRpqMode::kAuto, MatrixRpqMode::kAlways}) {
+    PlannerOptions popts;
+    popts.matrix_rpq = mode;
+    Result<LogicalOpPtr> plan = PlanQuery(*cq, stats, popts);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::string explain = ExplainPlan(**plan);
+    EXPECT_NE(explain.find("engine=cfpq-matrix"), std::string::npos)
+        << explain;
+    // The regular `up` atom is an EdgeScan; no regular atom reads
+    // "engine=matrix".
+    EXPECT_EQ(explain.find("engine=matrix"), std::string::npos) << explain;
+  }
 }
 
 TEST(CfpqPlanTest, MixedAtomsPlannedMatchesReference) {
   LabeledGraph g = UpTree();
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   Result<Crpq> q = ParseCrpq(
       "grammar SG { SG -> up SG up^- | up up^- } "
       "q(x, y) :- (x) -[ SG ]-> (y), (y) -[ up ]-> (z)");
@@ -262,16 +267,11 @@ TEST(CfpqPlanTest, MixedAtomsPlannedMatchesReference) {
   ASSERT_TRUE(ref.ok()) << ref.status();
   for (MatrixRpqMode mode :
        {MatrixRpqMode::kOff, MatrixRpqMode::kAuto, MatrixRpqMode::kAlways}) {
-    for (bool with_snapshot : {false, true}) {
-      CrpqOptions opts;
-      opts.snapshot = with_snapshot ? &snap : nullptr;
-      opts.planner.matrix_rpq = mode;
-      Result<RowSet> got = EvalCrpq(view, *q, opts);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->rows, ref->rows)
-          << "mode=" << static_cast<int>(mode)
-          << " snapshot=" << with_snapshot;
-    }
+    QueryOptions opts;
+    opts.planner.matrix_rpq = mode;
+    Result<RowSet> got = EvalCrpq(view, *q, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows, ref->rows) << "mode=" << static_cast<int>(mode);
   }
 }
 

@@ -1,10 +1,10 @@
 // CFPQ differential gate: the semi-naive matrix fixpoint
 // (pathalg/cfpq_matrix.h) against the naive CYK-style reference
-// (rpq/cfpq_reference.h) on 32 seeds of ER and BA random graphs, at 1
+// (oracles/cfpq_reference.h) on 32 seeds of ER and BA random graphs, at 1
 // and 4 threads — results must be bit-identical (canonical sorted CSR).
 // A second battery runs mixed regular + context-free CRPQs through the
-// full planner (matrix engine forced and off, snapshot on and off)
-// against EvalCrpqReference.
+// full planner (regular atoms' matrix engine forced and off; executed on
+// the view's own snapshot and on a given one) against EvalCrpqReference.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,10 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/cfpq_reference.h"
+#include "oracles/crpq_reference.h"
 #include "pathalg/cfpq_matrix.h"
-#include "rpq/cfpq_reference.h"
+#include "plan/exec.h"
 #include "rpq/crpq.h"
 #include "rpq/path_expr.h"
 #include "util/rng.h"
@@ -56,6 +58,21 @@ BoolCsr ToCsr(const std::vector<Bitset>& rel) {
     });
   }
   return BoolCsr::FromEntries(rel.size(), rel.size(), std::move(entries));
+}
+
+/// EvalCrpq; with `snapshot`, its plan executed on that given snapshot
+/// (ExecOptions::snapshot) instead of the view's own.
+Result<RowSet> EvalCrpqOn(const GraphView& view, const Crpq& q,
+                          const QueryOptions& opts,
+                          const CsrSnapshot* snapshot) {
+  if (snapshot == nullptr) return EvalCrpq(view, q, opts);
+  KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileCrpq(q));
+  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
+                       PlanOverView(view, cq, opts.planner));
+  ExecOptions eopts;
+  eopts.parallel = opts.parallel;
+  eopts.snapshot = snapshot;
+  return ExecutePlan(view, *plan, eopts);
 }
 
 class CfpqDifferential : public ::testing::TestWithParam<int> {};
@@ -130,11 +147,11 @@ TEST_P(CfpqDifferential, MixedCrpqPlannedMatchesReference) {
       for (bool with_snapshot : {false, true}) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-          CrpqOptions opts;
+          QueryOptions opts;
           opts.parallel.num_threads = threads;
-          opts.snapshot = with_snapshot ? &snap : nullptr;
           opts.planner.matrix_rpq = matrix;
-          Result<RowSet> got = EvalCrpq(view, *q, opts);
+          Result<RowSet> got =
+              EvalCrpqOn(view, *q, opts, with_snapshot ? &snap : nullptr);
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(got->schema, ref->schema);
           ASSERT_EQ(got->rows, ref->rows)

@@ -22,12 +22,12 @@
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "oracles/betweenness_brute.h"
+#include "oracles/reference_eval.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
 #include "pathalg/pairs.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 #include "rpq/regex.h"
 #include "rpq/test_eval.h"
 #include "util/rng.h"

@@ -232,6 +232,13 @@ void ExpectSnapshotsIdentical(const EpochSnapshot& got,
   ASSERT_TRUE(*got.csr == want_csr);
 }
 
+/// One adjacency per epoch: the epoch graph's memoized Csr() is the
+/// published CSR object itself, and equals what FromGraph would build.
+void ExpectGraphMemoIsPublishedCsr(const EpochSnapshot& snap) {
+  ASSERT_EQ(&snap.graph().Csr(), snap.csr.get());
+  ASSERT_TRUE(CsrSnapshot::FromGraph(snap.graph()) == *snap.csr);
+}
+
 TEST(DeltaStoreDifferential, PublishedEpochsMatchFromScratchBuilds) {
   const std::vector<std::string> kLabels = {"a", "b", "c", "rides"};
   for (uint64_t seed = 0; seed < 32; ++seed) {
@@ -287,6 +294,9 @@ TEST(DeltaStoreDifferential, PublishedEpochsMatchFromScratchBuilds) {
         // with the incremental merge — the cross-path differential.
         EpochPtr fsnap = full.Publish();
         ASSERT_TRUE(*fsnap->csr == *snap->csr) << "seed " << seed;
+        // Both publication paths seed the epoch graph's memo.
+        ExpectGraphMemoIsPublishedCsr(*snap);
+        ExpectGraphMemoIsPublishedCsr(*fsnap);
       }
     }
 

@@ -5,11 +5,11 @@
 #include "datasets/figure2.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/reference_eval.h"
 #include "pathalg/pairs.h"
 #include "pathalg/simple_paths.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 namespace {

@@ -7,12 +7,12 @@
 #include "datasets/figure2.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/reference_eval.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 namespace {

@@ -14,6 +14,8 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "obs/obs.h"
+#include "oracles/crpq_reference.h"
+#include "oracles/match_reference.h"
 #include "plan/exec.h"
 #include "plan/ir.h"
 #include "plan/optimizer.h"
@@ -242,19 +244,14 @@ TEST(Optimizer, ExplainRendersTheTreeWithEstimates) {
 TEST(Executor, AnswersFigure2RidersQuery) {
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
   std::vector<std::vector<NodeId>> expected = {
       {fig2::kJuan}, {fig2::kPedro}, {fig2::kRosa}};
 
-  for (bool with_snapshot : {false, true}) {
-    CrpqOptions opts;
-    opts.snapshot = with_snapshot ? &snap : nullptr;
-    RowSet rows = *EvalCrpq(view, q, opts);
-    ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
-    EXPECT_EQ(rows.rows, expected) << "snapshot=" << with_snapshot;
-  }
+  RowSet rows = *EvalCrpq(view, q);
+  ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
+  EXPECT_EQ(rows.rows, expected);
   RowSet ref = *EvalCrpqReference(view, q);
   EXPECT_EQ(ref.rows, expected);
 }
@@ -264,19 +261,16 @@ TEST(Executor, AnswersFigure2RidersQuery) {
 TEST(Executor, AnswersTheContactTracingJoin) {
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
 
   Crpq q = *ParseCrpq(
       "q(x) :- (x: person) -[ rides ]-> (b: bus), "
       "(y: infected) -[ rides ]-> (b)");
-  CrpqOptions opts;
-  opts.snapshot = &snap;
-  RowSet rows = *EvalCrpq(view, q, opts);
+  RowSet rows = *EvalCrpq(view, q);
   // Juan and Rosa ride the bus Pedro (infected) rides. Pedro is labeled
   // infected, not person, so he is excluded.
   std::vector<std::vector<NodeId>> expected = {{fig2::kJuan}, {fig2::kRosa}};
   EXPECT_EQ(rows.rows, expected) << ExplainPlan(
-      **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, &snap)));
+      **PlanOverView(view, *CompileCrpq(q)));
   EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
 }
 
@@ -287,15 +281,10 @@ TEST(Executor, DiagonalAtomSelectsSelfLoopsOnly) {
   (void)g.AddEdge(1, 1, "a");  // Self-loop.
   (void)g.AddEdge(2, 0, "a");
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ a ]-> (x)");
   std::vector<std::vector<NodeId>> expected = {{1}};
-  for (bool with_snapshot : {false, true}) {
-    CrpqOptions opts;
-    opts.snapshot = with_snapshot ? &snap : nullptr;
-    EXPECT_EQ((*EvalCrpq(view, q, opts)).rows, expected);
-  }
+  EXPECT_EQ((*EvalCrpq(view, q)).rows, expected);
   EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
 }
 
@@ -353,11 +342,8 @@ TEST(Executor, EmitsObsCountersAndSpans) {
 
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
-  CrpqOptions opts;
-  opts.snapshot = &snap;
-  (void)*EvalCrpq(view, q, opts);
+  (void)*EvalCrpq(view, q);
 
   // A -DKGQ_OBS=OFF build compiles the macro call sites to nothing;
   // the execution itself must still work (checked above by EvalCrpq).

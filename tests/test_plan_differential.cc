@@ -1,8 +1,10 @@
 // Randomized differential testing of the query planner: random
 // conjunctive queries with regular path atoms over ER and BA graphs,
-// planned execution (optimized and naive, with and without a CSR
-// snapshot, matrix RPQ engine forced and off, at 1 and 4 threads)
-// against the retained reference evaluators of all three front-ends.
+// planned execution (optimized and naive, on the view's own CSR and on a
+// given snapshot, matrix RPQ engine forced and off, at 1 and 4 threads)
+// against the retained reference evaluators of all three front-ends,
+// and the front-ends' default plans against the planner over the view's
+// own label statistics.
 // The planner may pick any join order and any physical operator — the
 // canonical output discipline (sorted, deduplicated, limited) makes the
 // comparison bit-exact.
@@ -16,6 +18,12 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
+#include "oracles/crpq_reference.h"
+#include "oracles/match_reference.h"
+#include "plan/exec.h"
+#include "plan/stats.h"
 #include "query/match_query.h"
 #include "rdf/bgp.h"
 #include "rdf/rdf_view.h"
@@ -93,6 +101,62 @@ Crpq RandomCrpq(Rng* rng) {
   return q;
 }
 
+/// Random MATCH chain of 1–3 hops with random endpoint tests, returning
+/// its two ends, maybe limited.
+MatchQuery RandomMatch(Rng* rng) {
+  MatchQuery mq;
+  size_t hops = 1 + rng->Below(3);
+  for (size_t i = 0; i <= hops; ++i) {
+    NodePattern np;
+    np.var = "x" + std::to_string(i);
+    if (rng->Bernoulli(0.4)) {
+      np.test = TestExpr::Label(rng->Bernoulli(0.5) ? "p" : "q");
+    }
+    mq.nodes.push_back(std::move(np));
+    if (i < hops) {
+      mq.paths.push_back(PathExpr::Regular(RandomPath(rng, 2)));
+    }
+  }
+  mq.returns = {"x0", "x" + std::to_string(hops)};
+  if (rng->Bernoulli(0.3)) mq.limit = 1 + rng->Below(8);
+  return mq;
+}
+
+/// The plan a front-end builds for `cq` (PlanOverView), executed on a
+/// given snapshot (ExecOptions::snapshot) instead of the view's own.
+Result<RowSet> ExecuteOn(const GraphView& view, const ConjunctiveQuery& cq,
+                         const QueryOptions& opts,
+                         const CsrSnapshot* snapshot) {
+  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
+                       PlanOverView(view, cq, opts.planner));
+  ExecOptions eopts;
+  eopts.parallel = opts.parallel;
+  eopts.snapshot = snapshot;
+  return ExecutePlan(view, *plan, eopts);
+}
+
+/// A profile tree's deterministic fields — operator kind, engine and
+/// rows out — as one string.
+std::string ProfileShape(const obs::ProfileNode& node) {
+  std::string out = node.kind + "[" + node.engine + "]" +
+                    std::to_string(node.rows_out) + "(";
+  for (const auto& child : node.children) out += ProfileShape(*child);
+  return out + ")";
+}
+
+/// Runs `run` under a request-scoped trace and returns its profile
+/// shape.
+template <typename Fn>
+std::string ProfiledShape(Fn&& run) {
+  obs::TraceContext ctx;
+  {
+    obs::ScopedTrace trace(&ctx);
+    run();
+  }
+  std::shared_ptr<const obs::ProfileNode> profile = ctx.TakeProfile();
+  return profile == nullptr ? "" : ProfileShape(*profile);
+}
+
 class PlanDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
@@ -126,15 +190,16 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
         for (bool optimized : {true, false}) {
           // The matrix engine is a pure physical choice: forcing it on
           // (or off) must never change a row, on optimized and naive
-          // plans alike, with and without the snapshot it needs.
+          // plans alike, on the view's own snapshot or a given one.
           for (MatrixRpqMode matrix :
                {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-            CrpqOptions opts;
+            QueryOptions opts;
             opts.parallel.num_threads = threads;
-            opts.snapshot = with_snapshot ? &snap : nullptr;
             if (!optimized) opts.planner = naive;
             opts.planner.matrix_rpq = matrix;
-            Result<RowSet> got = EvalCrpq(view, q, opts);
+            Result<RowSet> got =
+                with_snapshot ? ExecuteOn(view, *CompileCrpq(q), opts, &snap)
+                              : EvalCrpq(view, q, opts);
             ASSERT_TRUE(got.ok()) << got.status();
             ASSERT_EQ(got->schema, ref->schema);
             ASSERT_EQ(got->rows, ref->rows)
@@ -157,22 +222,7 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
 
   for (int round = 0; round < 4; ++round) {
-    // Random chain of 1–3 hops with random endpoint tests.
-    MatchQuery mq;
-    size_t hops = 1 + rng.Below(3);
-    for (size_t i = 0; i <= hops; ++i) {
-      NodePattern np;
-      np.var = "x" + std::to_string(i);
-      if (rng.Bernoulli(0.4)) {
-        np.test = TestExpr::Label(rng.Bernoulli(0.5) ? "p" : "q");
-      }
-      mq.nodes.push_back(std::move(np));
-      if (i < hops) {
-        mq.paths.push_back(PathExpr::Regular(RandomPath(&rng, 2)));
-      }
-    }
-    mq.returns = {"x0", "x" + std::to_string(hops)};
-    if (rng.Bernoulli(0.3)) mq.limit = 1 + rng.Below(8);
+    MatchQuery mq = RandomMatch(&rng);
     SCOPED_TRACE(mq.ToString());
 
     Result<QueryResult> ref = ExecuteMatch(view, mq);
@@ -181,11 +231,16 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
       for (bool with_snapshot : {false, true}) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-          MatchPlanOptions opts;
+          QueryOptions opts;
           opts.parallel.num_threads = threads;
-          opts.snapshot = with_snapshot ? &snap : nullptr;
           opts.planner.matrix_rpq = matrix;
           Result<QueryResult> got = ExecuteMatchPlanned(view, mq, opts);
+          if (with_snapshot) {
+            Result<RowSet> rows =
+                ExecuteOn(view, *CompileMatch(mq), opts, &snap);
+            ASSERT_TRUE(rows.ok()) << rows.status();
+            got = QueryResult{rows->schema, rows->rows};
+          }
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(got->columns, ref->columns);
           ASSERT_EQ(got->rows, ref->rows)
@@ -236,7 +291,7 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       for (MatrixRpqMode matrix :
            {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-        BgpPlanOptions opts;
+        QueryOptions opts;
         opts.parallel.num_threads = threads;
         opts.planner.matrix_rpq = matrix;
         Result<std::vector<Binding>> got =
@@ -246,6 +301,62 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
             << "threads=" << threads
             << " matrix=" << (matrix == MatrixRpqMode::kAlways);
       }
+    }
+  }
+}
+
+// One planner configuration: with default options, EvalCrpq and
+// ExecuteMatchPlanned plan exactly as PlanQuery over the view's own
+// label statistics (GraphStats::From(&view, &view.Csr())) — the plan
+// the server builds too. The EXPLAIN of the shared planning step must
+// match, and with obs compiled in, so must the profile tree (kind,
+// engine, rows) of what each front-end actually executed.
+TEST_P(PlanDifferential, FrontEndsPlanOverTheViewsOwnStatistics) {
+  const int seed = GetParam();
+  Rng rng(9000 + seed);
+  LabeledGraph g =
+      (seed % 2 == 0)
+          ? ErdosRenyi(10 + rng.Below(8), 25 + rng.Below(25), {"p", "q"},
+                       {"a", "b"}, &rng)
+          : BarabasiAlbert(12 + rng.Below(8), 2, {"p", "q"}, {"a", "b"},
+                           &rng);
+  LabeledGraphView view(g);
+  const GraphStats stats = GraphStats::From(&view, &view.Csr());
+  const bool profiled = obs::kCompiledIn && obs::Registry::Enabled();
+
+  for (int round = 0; round < 5; ++round) {
+    Crpq q = RandomCrpq(&rng);
+    SCOPED_TRACE(q.ToString());
+    Result<ConjunctiveQuery> cq = CompileCrpq(q);
+    ASSERT_TRUE(cq.ok()) << cq.status();
+    Result<LogicalOpPtr> want = PlanQuery(*cq, stats);
+    ASSERT_TRUE(want.ok()) << want.status();
+    Result<LogicalOpPtr> got = PlanOverView(view, *cq);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(ExplainPlan(**got), ExplainPlan(**want));
+    if (profiled) {
+      const std::string shape =
+          ProfiledShape([&] { (void)EvalCrpq(view, q); });
+      ASSERT_FALSE(shape.empty());
+      EXPECT_EQ(shape,
+                ProfiledShape([&] { (void)ExecutePlan(view, **want); }))
+          << ExplainPlan(**want);
+    }
+
+    MatchQuery mq = RandomMatch(&rng);
+    SCOPED_TRACE(mq.ToString());
+    Result<ConjunctiveQuery> mcq = CompileMatch(mq);
+    ASSERT_TRUE(mcq.ok()) << mcq.status();
+    Result<LogicalOpPtr> mwant = PlanQuery(*mcq, stats);
+    ASSERT_TRUE(mwant.ok()) << mwant.status();
+    EXPECT_EQ(ExplainPlan(**PlanOverView(view, *mcq)), ExplainPlan(**mwant));
+    if (profiled) {
+      const std::string shape =
+          ProfiledShape([&] { (void)ExecuteMatchPlanned(view, mq); });
+      ASSERT_FALSE(shape.empty());
+      EXPECT_EQ(shape,
+                ProfiledShape([&] { (void)ExecutePlan(view, **mwant); }))
+          << ExplainPlan(**mwant);
     }
   }
 }

@@ -11,6 +11,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/reference_eval.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
@@ -18,7 +19,6 @@
 #include "pathalg/simple_paths.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 namespace {

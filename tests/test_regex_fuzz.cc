@@ -15,13 +15,13 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/reference_eval.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/matrix_rpq.h"
 #include "pathalg/pairs.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 
 namespace kgq {
 namespace {

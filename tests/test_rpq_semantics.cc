@@ -6,9 +6,9 @@
 #include "datasets/figure2.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "oracles/reference_eval.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
-#include "rpq/reference_eval.h"
 #include "rpq/test_eval.h"
 
 namespace kgq {

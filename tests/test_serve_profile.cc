@@ -332,11 +332,13 @@ TEST_F(ServeProfileTest, ProfileDeterministicAcrossWorkersAndThreadBudgets) {
   }
 }
 
-// The serving layer reads every epoch through its published CSR: the
-// executor compiles path atoms against it, and the analytics views
+// The serving layer reads every epoch through its published CSR, which
+// is also the memoized Csr() of the epoch's graph: the planner and the
+// executor read it as the view's own adjacency, and the analytics views
 // recompute on it. So a served stream — profiled queries in all three
 // front-ends, EXPLAINs, view lookups, publishes — never builds a graph
-// model's memoized snapshot, which would be a second CSR per epoch.
+// model's memoized snapshot (a second CSR per epoch) and never checks a
+// given snapshot against the graph's topology (an O(m) scan).
 TEST_F(ServeProfileTest, ServedStreamBuildsNoMemoizedSnapshot) {
   if (!obs::kCompiledIn) {
     GTEST_SKIP() << "the memo-build counter is compiled out (KGQ_OBS=OFF)";
@@ -344,10 +346,17 @@ TEST_F(ServeProfileTest, ServedStreamBuildsNoMemoizedSnapshot) {
   std::string script = DifferentialScript();
   script += QueryLine("match", "MATCH (x) -[ knows* ]-> (y) RETURN x, y",
                       /*profile=*/true, 100) + "\n";
+  script += QueryLine("crpq", "q(x, y) :- (x) -[ knows/knows* ]-> (y)",
+                      /*profile=*/true, 101) + "\n";
+  script += QueryLine("bgp", "?x (knows*/rides) ?y", /*profile=*/true, 102) +
+            "\n";
   script +=
       R"j({"op":"explain","lang":"crpq","text":"q(x) :- (x) -[ a ]-> (y)"})j"
       "\n"
       R"j({"op":"explain","lang":"bgp","text":"?x knows ?y"})j"
+      "\n"
+      R"j({"op":"explain","lang":"match",)j"
+      R"j("text":"MATCH (x) -[ knows/knows* ]-> (y) RETURN x"})j"
       "\n"
       R"j({"op":"analytics","view":"components","node":0})j"
       "\n"
@@ -357,7 +366,10 @@ TEST_F(ServeProfileTest, ServedStreamBuildsNoMemoizedSnapshot) {
       "\n";
   obs::Counter* builds =
       obs::Registry::Get().GetCounter("graph.csr.memo_builds");
-  const uint64_t before = builds->Value();
+  obs::Counter* attaches =
+      obs::Registry::Get().GetCounter("rpq.snapshot_attaches");
+  const uint64_t builds_before = builds->Value();
+  const uint64_t attaches_before = attaches->Value();
   ServerOptions options;
   options.workers = 4;
   Server server(options);
@@ -366,7 +378,8 @@ TEST_F(ServeProfileTest, ServedStreamBuildsNoMemoizedSnapshot) {
   server.ServeStream(in, out);
   ASSERT_NE(out.str().find("\"profile\":{"), std::string::npos);
   ASSERT_EQ(out.str().find("\"error\""), std::string::npos) << out.str();
-  EXPECT_EQ(builds->Value(), before);
+  EXPECT_EQ(builds->Value(), builds_before);
+  EXPECT_EQ(attaches->Value(), attaches_before);
 }
 
 // Flipping the runtime obs switch from another thread while a 4-worker
